@@ -60,9 +60,9 @@ All tables below are verbatim output of `pytest benchmarks/ --benchmark-only`
 | E16 | liveness under lossy networks: adaptive detection vs fixed timeouts (beyond the paper) | n/a (extension) | LOSSY: adaptive wins both axes (avail 0.89 vs 0.88, mean convergence 21.9 vs 25.6); storms: avail 0.82 vs 0.79 |
 | E17 | transactions span many groups; each participant validates its own viewstamps (3.3) | yes | clean speedup 1.0/1.9/3.0/6.0 at 1/2/4/8 shards; a single-shard view change aborts only shard-touching txns (elsewhere 0 at 2-4 shards) |
 | E18 | buffer batching: speedy delivery vs small numbers of messages (3.7) | yes | batching cuts msgs/txn 23.7 -> 11.6-13.1 (clean/viewchange), 33.1 -> 24.1 (lossy); state digest byte-identical to unbatched on every schedule |
-| E19 | read serving path: leases, backup reads, client caches (beyond the paper; 3.7 prices reads as calls) | n/a (extension) | 90%-read zipfian open loop: leased reads 4.6x mean / 7.2x p99 faster than the full call path, cache 9.7x mean; backup staleness <= one heartbeat; state digest byte-identical across all serving configs (`python -m repro.reads.gate`) |
-| E20 | geo-replication: placement, cross-region failover, region faults (beyond the paper; 1 and 4.1 assume partitions and cofailing links) | n/a (extension) | one-shard-per-DC commits 3.7x faster than spread placement (22.8 vs 84.1); every placement's cross-region failover meets the 525 adaptive-timeout bound; a partitioned region's leased reads stop 13.1 after the cut, long before the majority's new primary commits (+313.8); state digest byte-identical to the flat network (`python -m repro.geo.gate`) |
-| E21 | cohort scaling: gossip heartbeats, ack trees, witness replicas (beyond the paper; 2 sizes groups at "three or five") | n/a (extension) | all-on cuts primary msgs/interval 7.7x at n=100 (256.0 -> 33.2, mean load 199.3 -> 7.1) with failover 50 -> 70; every cell n=5..100 commits its full load and re-forms after a primary crash; `scale=None` and all-off byte-identical schedules, armed states byte-identical to baseline (`python -m repro.scale.gate`) |
+| E19 | read serving path: leases, backup reads, client caches (beyond the paper; 3.7 prices reads as calls) | n/a (extension) | 90%-read zipfian open loop: leased reads 4.6x mean / 7.2x p99 faster than the full call path, cache 9.7x mean; backup staleness <= one heartbeat; state digest byte-identical across all serving configs (`python -m repro.gates run reads`) |
+| E20 | geo-replication: placement, cross-region failover, region faults (beyond the paper; 1 and 4.1 assume partitions and cofailing links) | n/a (extension) | one-shard-per-DC commits 3.7x faster than spread placement (22.8 vs 84.1); every placement's cross-region failover meets the 525 adaptive-timeout bound; a partitioned region's leased reads stop 13.1 after the cut, long before the majority's new primary commits (+313.8); state digest byte-identical to the flat network (`python -m repro.gates run geo`) |
+| E21 | cohort scaling: gossip heartbeats, ack trees, witness replicas (beyond the paper; 2 sizes groups at "three or five") | n/a (extension) | all-on cuts primary msgs/interval 7.7x at n=100 (256.0 -> 33.2, mean load 199.3 -> 7.1) with failover 50 -> 70; every cell n=5..100 commits its full load and re-forms after a primary crash; `scale=None` and all-off byte-identical schedules, armed states byte-identical to baseline (`python -m repro.gates run scale`) |
 
 Notes on calibration: absolute numbers depend on the simulated link and
 timeout parameters (see `repro/config.py`); the claims are about *shape* —

@@ -193,7 +193,7 @@ class ScaleConfig:
     ``ProtocolConfig.scale`` defaults to ``None`` -- the paper-faithful
     cohort where every backup talks directly to the primary, byte-identical
     to the pre-scale schedules (perf-gated by the ``scale_overhead``
-    scenario and proven by ``python -m repro.scale.gate``).  Each mechanism
+    scenario and proven by ``python -m repro.gates run scale``).  Each mechanism
     below is independently toggleable; ``ScaleConfig()`` with all three off
     also reproduces the baseline schedule exactly.
 

@@ -50,6 +50,10 @@ class ServerRole:
         self.known_stale_calls: Set[CallId] = set()  # ran before a view change
         self.prepared: Dict[Aid, _PreparedState] = {}
         self._unprepared_queries: Dict[Aid, int] = {}
+        # Pending at a view change: the outcome is asked of the coordinator
+        # until known, and never decided here (the old primary may have
+        # voted yes).  A dict, so queries go out in a seed-fixed order.
+        self._inherited: Dict[Aid, None] = {}
         self._call_procs: list = []
         self._janitor_timer = None
         self._query_counter = 0  # batched mode: round-robin query fan-out
@@ -64,6 +68,7 @@ class ServerRole:
         self.known_stale_calls.clear()
         self.prepared.clear()
         self._unprepared_queries.clear()
+        self._inherited.clear()
         self._call_procs = []
         self._janitor_timer = None
 
@@ -76,18 +81,22 @@ class ServerRole:
         self.executed.clear()
         self.prepared.clear()
         self._unprepared_queries.clear()
+        self._inherited.clear()
         if self._janitor_timer is not None:
             self._janitor_timer.cancel()
             self._janitor_timer = None
 
     def on_become_primary(self) -> None:
         """Rebuild duplicate-detection state from surviving records and
-        start the outcome janitor."""
+        start the outcome janitor, which asks each inherited transaction's
+        coordinator for its outcome (section 3.4): an abort sent to the
+        old primary is otherwise lost with it, and the locks never freed."""
         self.known_stale_calls = {
             record.call_id
             for calls in self.cohort.pending.values()
             for record in calls.values()
         }
+        self._inherited = dict.fromkeys(self.cohort.pending)
         self._arm_janitor()
 
     def _arm_janitor(self) -> None:
@@ -476,10 +485,17 @@ class ServerRole:
         for aid, state in list(self.prepared.items()):
             state.queries_sent += 1
             self._send_query(aid)
+        for aid in list(self._inherited):
+            if aid in self.prepared or aid not in cohort.pending:
+                del self._inherited[aid]
+            else:
+                self._send_query(aid)
         for aid in list(self._unprepared_queries):
             if aid in self.prepared or aid not in cohort.pending:
                 self._unprepared_queries.pop(aid, None)
                 continue
+            if aid in self._inherited:
+                continue  # queried above; never aborted unilaterally
             tries = self._unprepared_queries[aid] + 1
             self._unprepared_queries[aid] = tries
             if tries <= 2:
@@ -515,7 +531,11 @@ class ServerRole:
         if not cohort.is_active_primary:
             return
         aid = msg.aid
-        if aid not in self.prepared and aid not in self._unprepared_queries:
+        if (
+            aid not in self.prepared
+            and aid not in self._unprepared_queries
+            and aid not in self._inherited
+        ):
             return
         if msg.outcome == "committed":
             self._perform_commit(aid, msg.pset_pairs, ack_to=None)

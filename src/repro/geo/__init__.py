@@ -10,8 +10,8 @@ byte-identical to the flat network.  See docs/GEO.md.
 
 CLI::
 
-    python -m repro.geo check-docs docs/GEO.md   # docs drift gate
-    python -m repro.geo.gate                     # E20 determinism gate
+    python -m repro.gates run geo          # E20 determinism gate
+    python -m repro.gates check-docs geo   # docs drift gate
 """
 
 from repro.config import GeoConfig

@@ -9,7 +9,13 @@ from repro import EmptyModule, Runtime
 from repro.analysis.tables import render_table
 from repro.config import ProtocolConfig
 from repro.workloads.kv import KVStoreSpec
-from repro.workloads.loadgen import ClosedLoopStats, run_closed_loop
+from repro.workloads.loadgen import (
+    ClosedLoopStats,
+    OpenLoopStats,
+    run_closed_loop,
+    run_open_loop,
+    run_retry_loop,
+)
 
 
 @dataclasses.dataclass
@@ -45,15 +51,20 @@ def build_kv_system(
     n_keys: int = 16,
     config: Optional[ProtocolConfig] = None,
     link=None,
-    register=("get", "put", "update"),
     trace=None,
     driver_site: Optional[str] = None,
+    kv_config: Optional[ProtocolConfig] = None,
+    client_cohorts: Optional[int] = None,
+    max_events: Optional[int] = None,
 ) -> Tuple[Runtime, object, object, object, KVStoreSpec]:
     """Runtime with a KV group, a client group, and a driver.
 
     With a geo-armed *config*, cohorts are placed by its placement
     policy; *driver_site* additionally homes the driver at a topology
-    site so its reads route geographically.
+    site so its reads route geographically.  *kv_config* applies to the
+    kv group alone and *client_cohorts* sizes the client group (default:
+    *n_cohorts*), so a mechanism can be measured on the kv group without
+    arming it in the client plumbing.
     """
     from repro.workloads.kv import read_program, update_program, write_program
 
@@ -64,10 +75,14 @@ def build_kv_system(
         kwargs["link"] = link
     if trace is not None:
         kwargs["trace"] = trace
+    if max_events is not None:
+        kwargs["max_events"] = max_events
     rt = Runtime(seed=seed, **kwargs)
     spec = KVStoreSpec(n_keys=n_keys)
-    kv = rt.create_group("kv", spec, n_cohorts=n_cohorts)
-    clients = rt.create_group("clients", EmptyModule(), n_cohorts=n_cohorts)
+    kv = rt.create_group("kv", spec, n_cohorts=n_cohorts, config=kv_config)
+    clients = rt.create_group(
+        "clients", EmptyModule(), n_cohorts=client_cohorts or n_cohorts
+    )
     clients.register_program("read", read_program)
     clients.register_program("write", write_program)
     clients.register_program("update", update_program)
@@ -122,6 +137,77 @@ def run_kv_batch(
     )
     drain(rt, stats, count)
     return stats
+
+
+def state_run(
+    seed: int,
+    config: Optional[ProtocolConfig],
+    txns: int,
+    *,
+    cohorts: int = 3,
+    kv_only: bool = False,
+    settle: float = 0.0,
+    link=None,
+    fault=None,
+    concurrency: int = 4,
+    reads: Optional[Tuple[float, float, str]] = None,
+    prefer: str = "primary",
+    site: Optional[str] = None,
+    quiesce: Optional[float] = None,
+    deadline: float = 100_000.0,
+) -> Tuple[Runtime, ClosedLoopStats, Optional[OpenLoopStats]]:
+    """The cross-config comparable workload: *txns* distinct-key writes,
+    each retried until it commits with a fixed value.
+
+    The final replicated state is therefore independent of the schedule,
+    so two configs can be compared by state digest even when loss, view
+    changes or batching abort different interim attempts.  The shape:
+
+    - *cohorts* sizes both groups; with *kv_only* the config arms the kv
+      group alone and the client group keeps three paper-faithful cohorts;
+    - *settle* runs before the writes start, *fault* (a Nemesis or
+      FaultPlan) is injected just before them and stopped after;
+    - *reads* ``(rate, duration, rng name)`` adds a concurrent read-only
+      open loop steered by *prefer* from a driver at *site*, served by
+      the read path whenever the config enables it.
+
+    Returns ``(runtime, write stats, read stats or None)`` after quiesce
+    and the invariant check.
+    """
+    if kv_only:
+        groups = dict(kv_config=config, client_cohorts=3)
+    else:
+        groups = dict(config=config)
+    rt, _kv, _clients, driver, spec = build_kv_system(
+        seed=seed, n_cohorts=cohorts, n_keys=txns, link=link,
+        driver_site=site, **groups,
+    )
+    if settle:
+        rt.run_for(settle)
+    if fault is not None:
+        rt.inject(fault)
+    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
+    writes = run_retry_loop(rt, driver, "clients", jobs, concurrency=concurrency)
+    read_stats = None
+    if reads is not None:
+        rate, duration, name = reads
+        read_stats = run_open_loop(
+            rt, driver,
+            key=spec.key, n_keys=txns, duration=duration, rate=rate,
+            read_fraction=1.0, prefer=prefer,
+            use_read_path=rt.config.reads.enabled, name=name,
+        )
+    end = rt.sim.now + deadline
+    while (
+        writes.committed < txns
+        or (read_stats is not None and not read_stats.drained)
+    ) and rt.sim.now < end:
+        rt.run_for(200.0)
+    if fault is not None:
+        rt.faults.stop()
+    rt.quiesce(quiesce)
+    rt.check_invariants(require_convergence=False)
+    return rt, writes, read_stats
 
 
 def sync_msgs(rt: Runtime, msg_types: Sequence[str]) -> int:

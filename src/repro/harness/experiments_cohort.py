@@ -13,9 +13,9 @@ for each :class:`repro.config.ScaleConfig` mechanism alone and all-on:
 - simulator throughput (events/s of virtual work, wall-clock measured),
   i.e. whether the harness itself sustains n=100.
 
-The companion determinism cell ``_scale_state_run`` backs
-``python -m repro.scale.gate``: scale mechanisms may move messages and
-shift schedules, never change what the protocol computes.
+The ``scale`` row of ``python -m repro.gates`` is the companion
+determinism check: scale mechanisms may move messages and shift
+schedules, never change what the protocol computes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
-from repro import EmptyModule, Runtime
 from repro.config import BatchConfig, ProtocolConfig, ScaleConfig
-from repro.harness.common import ExperimentResult
-from repro.workloads.kv import KVStoreSpec, read_program, update_program, write_program
+from repro.harness.common import ExperimentResult, build_kv_system
 from repro.workloads.loadgen import run_retry_loop
 
 SCALE_SEED = 21
@@ -57,67 +55,6 @@ def mode_scale(mode: str, n: int) -> Optional[ScaleConfig]:
     raise ValueError(f"unknown E21 mode {mode!r}")
 
 
-def _build_scaled_kv(
-    seed: int, n_cohorts: int, scale: Optional[ScaleConfig], n_keys: int,
-    batch: Optional[BatchConfig] = None,
-):
-    """A kv group of *n_cohorts* under *scale*, plus an unscaled 3-cohort
-    client group (the helper group is plumbing, not the system under
-    measurement, and witness counts are sized for the kv group)."""
-    config = ProtocolConfig(scale=scale, batch=batch)
-    # n=100 all-to-all heartbeats burn events fast; raise the runaway guard.
-    rt = Runtime(seed=seed, config=ProtocolConfig(), max_events=100_000_000)
-    spec = KVStoreSpec(n_keys=n_keys)
-    kv = rt.create_group("kv", spec, n_cohorts=n_cohorts, config=config)
-    clients = rt.create_group("clients", EmptyModule(), n_cohorts=3)
-    clients.register_program("read", read_program)
-    clients.register_program("write", write_program)
-    clients.register_program("update", update_program)
-    driver = rt.create_driver("driver")
-    return rt, kv, clients, driver, spec
-
-
-# -- the determinism-gate cell --------------------------------------------
-
-
-def _scale_state_run(
-    seed: int,
-    scale: Optional[ScaleConfig],
-    txns: int = 32,
-    n_cohorts: int = 7,
-) -> Tuple[dict, str, str]:
-    """One cross-config-comparable cell for the scale determinism gate.
-
-    Retry-until-commit distinct-key writes (fixed values): the final
-    replicated state is schedule-independent, so every armed mechanism
-    must agree byte-for-byte on the state digest with the ``scale=None``
-    baseline.  Returns ``(metrics, ledger_digest, state_digest)`` -- the
-    *ledger* digest additionally proves that ``scale=None`` and an
-    all-off ScaleConfig replay byte-identical schedules (zero cost when
-    disabled), a strictly stronger property the armed conditions are not
-    held to.
-    """
-    from repro.perf.report import ledger_digest, state_digest
-
-    rt, _kv, _clients, driver, spec = _build_scaled_kv(
-        seed, n_cohorts, scale, n_keys=txns
-    )
-    rt.run_for(200.0)
-    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
-    deadline = rt.sim.now + 100_000.0
-    while stats.committed < txns and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    rt.quiesce(100.0)
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "writes_committed": stats.committed,
-        "messages": rt.network.messages_sent_total,
-        "events": rt.sim.events_processed,
-    }
-    return metrics, ledger_digest(rt), state_digest(rt)
-
-
 # -- the experiment cells --------------------------------------------------
 
 
@@ -133,9 +70,16 @@ def _e21_cell(seed: int, n: int, mode: str, txns: int = 24) -> dict:
     composition the mechanisms were designed for.
     """
     scale = mode_scale(mode, n)
-    rt, kv, _clients, driver, spec = _build_scaled_kv(
-        seed, n, scale, n_keys=txns,
-        batch=BatchConfig(enabled=True, max_batch=64, pipeline_depth=4),
+    rt, kv, _clients, driver, spec = build_kv_system(
+        seed=seed, n_cohorts=n, n_keys=txns,
+        kv_config=ProtocolConfig(
+            scale=scale,
+            batch=BatchConfig(enabled=True, max_batch=64, pipeline_depth=4),
+        ),
+        # The client group is plumbing, not the system under measurement,
+        # and witness counts are sized for the kv group; n=100 all-to-all
+        # heartbeats burn events fast, so raise the runaway guard.
+        client_cohorts=3, max_events=100_000_000,
     )
     interval = kv.config.im_alive_interval
     rt.run_for(20.0 * interval)  # settle into the initial view

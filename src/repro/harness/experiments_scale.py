@@ -13,11 +13,11 @@ transactions that touched the crashed shard.
 
 from __future__ import annotations
 
-from repro import LOSSY, BatchConfig, Nemesis, ProtocolConfig
-from repro.harness.common import ExperimentResult, build_kv_system
+from repro import LOSSY, Nemesis
+from repro.gates import batched
+from repro.harness.common import ExperimentResult, state_run
 from repro.perf.report import state_digest
 from repro.shard.workload import run_sharded_workload
-from repro.workloads.loadgen import run_retry_loop
 
 SHARD_COUNTS = (1, 2, 4, 8)
 CONDITIONS = ("clean", "lossy", "viewchange")
@@ -152,63 +152,14 @@ def e17_sharding(
 
 # -- E18: batched & pipelined replication -----------------------------------
 
-#: (label, (max_batch, pipeline_depth)); None = the unbatched baseline.
+#: (label, config); None = the unbatched baseline.
 E18_CONFIGS = (
     ("unbatched", None),
-    ("b=8 d=1", (8, 1)),
-    ("b=64 d=2", (64, 2)),
-    ("b=256 d=4", (256, 4)),
+    ("b=8 d=1", batched(8, 1)),
+    ("b=64 d=2", batched(64, 2)),
+    ("b=256 d=4", batched(256, 4)),
 )
 E18_CONDITIONS = ("clean", "lossy", "viewchange")
-
-
-def _batching_run(
-    seed: int,
-    condition: str,
-    batch,
-    txns: int,
-    concurrency: int,
-):
-    """One cell of the batching study; returns (metrics dict, state digest)."""
-    if batch is None:
-        batch_config = BatchConfig(enabled=False)
-    else:
-        max_batch, pipeline_depth = batch
-        batch_config = BatchConfig(
-            enabled=True,
-            max_batch=max_batch,
-            flush_interval=0.5,
-            pipeline_depth=pipeline_depth,
-        )
-    config = ProtocolConfig(batch=batch_config)
-    link = LOSSY if condition == "lossy" else None
-    rt, _kv, _clients, driver, spec = build_kv_system(
-        seed=seed, n_cohorts=3, n_keys=txns, config=config, link=link
-    )
-    if condition == "viewchange":
-        # Crash the kv primary mid-stream; the retry loop re-submits the
-        # writes the view change aborted, so the final state must still be
-        # byte-identical across batch configs.
-        rt.inject(
-            Nemesis().crash_primary("kv", every=150.0, count=1, recover_after=400.0)
-        )
-    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=concurrency)
-    deadline = rt.sim.now + 200_000.0
-    while stats.committed < txns and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    if condition == "viewchange":
-        rt.faults.stop()
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "committed": stats.committed,
-        "retries": stats.aborted + stats.unknown,
-        "messages": rt.network.messages_sent_total,
-        "view_changes": len(rt.ledger.view_changes_for("kv")),
-        "sim_time": rt.sim.now,
-    }
-    return metrics, state_digest(rt)
 
 
 def e18_batching(
@@ -220,23 +171,37 @@ def e18_batching(
     for condition in E18_CONDITIONS:
         base_messages = None
         base_digest = None
-        for label, batch in E18_CONFIGS:
-            metrics, digest = _batching_run(seed, condition, batch, txns, concurrency)
-            if batch is None:
-                base_messages = metrics["messages"]
+        for label, config in E18_CONFIGS:
+            fault = None
+            if condition == "viewchange":
+                # Crash the kv primary mid-stream; the retry loop
+                # re-submits the writes the view change aborted, so the
+                # final state must still be byte-identical across configs.
+                fault = Nemesis().crash_primary(
+                    "kv", every=150.0, count=1, recover_after=400.0
+                )
+            rt, stats, _reads = state_run(
+                seed, config, txns,
+                link=LOSSY if condition == "lossy" else None,
+                fault=fault, concurrency=concurrency, deadline=200_000.0,
+            )
+            messages = rt.network.messages_sent_total
+            digest = state_digest(rt)
+            if config is None:
+                base_messages = messages
                 base_digest = digest
             rows.append(
                 (
                     condition,
                     label,
-                    metrics["committed"],
-                    metrics["retries"],
-                    metrics["messages"],
-                    round(metrics["messages"] / metrics["committed"], 1),
-                    round(base_messages / metrics["messages"], 2)
+                    stats.committed,
+                    stats.aborted + stats.unknown,
+                    messages,
+                    round(messages / stats.committed, 1),
+                    round(base_messages / messages, 2)
                     if base_messages
                     else float("nan"),
-                    metrics["view_changes"],
+                    len(rt.ledger.view_changes_for("kv")),
                     "yes" if digest == base_digest else "NO",
                 )
             )

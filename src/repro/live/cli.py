@@ -16,36 +16,19 @@ Subcommands::
     schedules
         The nemesis schedules the matrix crosses the specs against.
 
-    check-docs DOC
-        Fail unless every spec name, schedule name, and StallReport
-        field is mentioned in DOC (the docs-drift gate for
-        docs/LIVENESS.md).
+``python -m repro.gates check-docs live`` is the docs-drift gate for
+docs/LIVENESS.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from repro.config import ProtocolConfig
 from repro.live.matrix import SCHEDULES, run_matrix
-from repro.live.report import StallReport
-from repro.live.specs import (
-    EventuallyCommits,
-    EventuallySinglePrimary,
-    NoLivelock,
-    ViewChangeConverges,
-    spec_catalog,
-)
-
-SPEC_CLASSES = (
-    EventuallySinglePrimary,
-    EventuallyCommits,
-    ViewChangeConverges,
-    NoLivelock,
-)
+from repro.live.specs import spec_catalog
 
 
 def _export_cell_artifacts(result, artifact_dir: str) -> None:
@@ -111,39 +94,13 @@ def _schedules(_args) -> int:
     return 0
 
 
-def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    required = sorted(
-        {cls.name for cls in SPEC_CLASSES}
-        | set(SCHEDULES)
-        | {field.name for field in dataclasses.fields(StallReport)}
-    )
-    missing = [name for name in required if name not in text]
-    if missing:
-        print(
-            f"{args.doc} is missing documentation for: {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"{args.doc} documents all {len(SPEC_CLASSES)} specs, "
-        f"{len(SCHEDULES)} schedules, and every StallReport field"
-    )
-    return 0
-
-
 _DEFAULT_DURATION = 5_000.0
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    commands = {"matrix", "specs", "schedules", "check-docs"}
+    commands = {"matrix", "specs", "schedules"}
     if argv and argv[0] not in commands and argv[0] not in ("-h", "--help"):
         argv = ["matrix"] + list(argv)  # bare flags mean the matrix
     elif not argv:
@@ -179,12 +136,6 @@ def main(argv=None) -> int:
 
     schedules = sub.add_parser("schedules", help="the nemesis schedules")
     schedules.set_defaults(fn=_schedules)
-
-    check = sub.add_parser(
-        "check-docs", help="assert DOC mentions every spec/schedule/field"
-    )
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -48,6 +48,11 @@ Six scenarios spanning the regimes the roadmap cares about:
   placement where every quorum crosses the WAN (regression-gating the
   geo transport stack's latency).
 
+The five ``*_overhead`` scenarios (trace, liveness, lease, scale, geo) are
+one family generated from the rows of :mod:`repro.gates`: each times its
+row's overhead conditions in order on the seeded KV batch and asserts
+their contracts against the first (disabled) pass, which it returns.
+
 Every scenario is deterministic given its pinned seed; ``quick`` scales the
 workload down for CI without changing its shape.
 """
@@ -55,11 +60,13 @@ workload down for CI without changing its shape.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 import tracemalloc
 from typing import Callable, List, Optional
 
 from repro import LOSSY, Nemesis
+from repro.gates import OVERHEAD_SEED, ROWS, run_overhead
 from repro.harness.common import build_kv_system, kv_jobs, run_kv_batch, drain
 from repro.harness.soak import run_soak
 from repro.perf.report import PerfReport, build_report, ledger_digest as _digest
@@ -140,110 +147,6 @@ def _lossy_storm(quick: bool):
     rt.faults.restore_links()
     rt.quiesce(duration=600)
     return rt
-
-
-def _trace_overhead(quick: bool):
-    """The repro.trace zero-cost claim, measured: the same seeded KV batch
-    with tracing disabled, with the in-memory ring (+ all monitors), and
-    with a full JSONL export.  The disabled pass is the one the report's
-    events/s figure and digest come from, so the baseline gate fails if
-    instrumented-but-disabled hot paths regress; the ratios land in
-    ``extra`` for the record."""
-    import os
-    import tempfile
-
-    txns = 150 if quick else 450
-
-    def one(trace):
-        rt, _kv, _clients, driver, spec = build_kv_system(
-            seed=4242, n_cohorts=3, trace=trace
-        )
-        started = time.perf_counter()
-        run_kv_batch(rt, driver, spec, txns, read_fraction=0.5, concurrency=4)
-        rt.quiesce()
-        elapsed = time.perf_counter() - started
-        return rt, rt.sim.events_processed / max(elapsed, 1e-9)
-
-    from repro.config import TraceConfig
-
-    rt_off, rate_off = one(None)
-    rt_ring, rate_ring = one(TraceConfig(monitors="all"))
-    export_dir = tempfile.mkdtemp(prefix="repro-trace-perf-")
-    export_path = os.path.join(export_dir, "trace.jsonl")
-    rt_export, rate_export = one(
-        TraceConfig(monitors="all", export_path=export_path)
-    )
-    rt_export.tracer.maybe_export()
-    # Tracing is pure observation: all three modes must schedule and
-    # decide identically or the overhead comparison is meaningless.
-    digests = {_digest(rt_off), _digest(rt_ring), _digest(rt_export)}
-    if len(digests) != 1:
-        raise AssertionError(
-            f"trace_overhead: modes diverged ({sorted(d[:12] for d in digests)})"
-        )
-    rt_off.perf_extra = {
-        "events_per_sec_disabled": round(rate_off, 1),
-        "events_per_sec_ring": round(rate_ring, 1),
-        "events_per_sec_export": round(rate_export, 1),
-        "ring_overhead_pct": round(100.0 * (1.0 - rate_ring / rate_off), 2),
-        "export_overhead_pct": round(100.0 * (1.0 - rate_export / rate_off), 2),
-        "trace_events": rt_ring.tracer.events_emitted,
-    }
-    return rt_off
-
-
-def _liveness_overhead(quick: bool):
-    """The repro.live zero-cost claim, measured: the same seeded KV batch
-    with the liveness checker disarmed and armed with the full relaxed
-    spec catalog.  The disarmed pass supplies the report's events/s
-    figure and digest (so the baseline gate gates the default-off hot
-    path); the armed/disarmed ratio lands in ``extra``.  A clean run
-    must also satisfy every spec -- the armed pass raises on any
-    violation, so this scenario doubles as a no-fault liveness test."""
-    from repro.live import spec_catalog
-    from repro.perf.report import state_digest
-
-    txns = 150 if quick else 450
-
-    def one(arm: bool):
-        rt, _kv, _clients, driver, spec = build_kv_system(
-            seed=4242, n_cohorts=3
-        )
-        checker = None
-        if arm:
-            checker = rt.arm_liveness(spec_catalog("kv", rt.config, commits=1))
-        started = time.perf_counter()
-        run_kv_batch(rt, driver, spec, txns, read_fraction=0.5, concurrency=4)
-        rt.quiesce()
-        elapsed = time.perf_counter() - started
-        return rt, checker, rt.sim.events_processed / max(elapsed, 1e-9)
-
-    rt_off, _, rate_off = one(False)
-    rt_armed, checker, rate_armed = one(True)
-
-    def outcome(rt):
-        ledger = rt.ledger
-        return (
-            sorted((str(aid), at) for aid, at in ledger.committed.items()),
-            sorted((str(aid), why) for aid, why in ledger.aborted.items()),
-            state_digest(rt),
-        )
-
-    # The checker's poll ticks add simulator events, so the event-counting
-    # ledger_digest legitimately differs; what must NOT differ is anything
-    # the protocol decided.  Compare the transaction outcomes and the
-    # final replicated state instead.
-    if outcome(rt_off) != outcome(rt_armed):
-        raise AssertionError(
-            "liveness_overhead: armed run diverged from disarmed run"
-        )
-    rt_off.perf_extra = {
-        "events_per_sec_disabled": round(rate_off, 1),
-        "events_per_sec_armed": round(rate_armed, 1),
-        "armed_overhead_pct": round(100.0 * (1.0 - rate_armed / rate_off), 2),
-        "liveness_polls": checker.polls,
-    }
-    return rt_off
 
 
 def _batching_compare(
@@ -410,152 +313,6 @@ def _read_throughput(quick: bool):
     return rt_leased
 
 
-def _lease_overhead(quick: bool):
-    """The ReadConfig zero-cost-when-disabled claim, measured: the same
-    seeded KV batch with reads disabled and with the lease machinery
-    armed but no client issuing reads.  Grants ride existing acks and
-    heartbeats and ``ReadState`` arms no timers, so the armed-idle run
-    must schedule *identically* -- asserted on the full ledger digest,
-    event count and clock included.  The disabled pass supplies the
-    report's events/s figure and digest, so the baseline gate gates the
-    ``reads is None`` hot path; the armed/disabled ratio lands in
-    ``extra``."""
-    from repro.config import ProtocolConfig, ReadConfig
-
-    txns = 150 if quick else 450
-
-    def one(config):
-        rt, _kv, _clients, driver, spec = build_kv_system(
-            seed=4242, n_cohorts=3, config=config
-        )
-        started = time.perf_counter()
-        run_kv_batch(rt, driver, spec, txns, read_fraction=0.5, concurrency=4)
-        rt.quiesce()
-        elapsed = time.perf_counter() - started
-        return rt, rt.sim.events_processed / max(elapsed, 1e-9)
-
-    rt_off, rate_off = one(None)
-    rt_armed, rate_armed = one(ProtocolConfig(reads=ReadConfig(enabled=True)))
-    if _digest(rt_off) != _digest(rt_armed):
-        raise AssertionError(
-            "lease_overhead: armed-idle run scheduled differently from the "
-            f"disabled run ({_digest(rt_off)[:12]} != {_digest(rt_armed)[:12]})"
-        )
-    rt_off.perf_extra = {
-        "events_per_sec_disabled": round(rate_off, 1),
-        "events_per_sec_armed_idle": round(rate_armed, 1),
-        "armed_idle_overhead_pct": round(
-            100.0 * (1.0 - rate_armed / rate_off), 2
-        ),
-    }
-    return rt_off
-
-
-def _scale_overhead(quick: bool):
-    """The ScaleConfig zero-cost claim, measured: the same seeded KV batch
-    with ``scale=None`` and with an all-off :class:`ScaleConfig` attached.
-    The Cohort constructor normalizes an all-off config to ``None``, so
-    the armed-off run must schedule *identically* -- asserted on the full
-    ledger digest, event count and clock included.  A third pass arms
-    every mechanism (gossip + ack tree + witnesses) on a 7-cohort group;
-    armed mechanisms move messages, so only the final replicated *state*
-    must match, and the armed/off events-per-wall-second ratio lands in
-    ``extra``.  The ``scale=None`` pass supplies the report's events/s
-    figure and digest, so the baseline gate gates the disabled hot path."""
-    from repro.config import ProtocolConfig, ScaleConfig
-    from repro.perf.report import state_digest
-
-    txns = 150 if quick else 450
-
-    def one(config, n_cohorts=3):
-        rt, _kv, _clients, driver, spec = build_kv_system(
-            seed=4242, n_cohorts=n_cohorts, config=config
-        )
-        started = time.perf_counter()
-        run_kv_batch(rt, driver, spec, txns, read_fraction=0.5, concurrency=4)
-        rt.quiesce()
-        elapsed = time.perf_counter() - started
-        return rt, rt.sim.events_processed / max(elapsed, 1e-9)
-
-    rt_off, rate_off = one(None)
-    rt_alloff, rate_alloff = one(ProtocolConfig(scale=ScaleConfig()))
-    if _digest(rt_off) != _digest(rt_alloff):
-        raise AssertionError(
-            "scale_overhead: all-off ScaleConfig scheduled differently from "
-            f"scale=None ({_digest(rt_off)[:12]} != {_digest(rt_alloff)[:12]})"
-        )
-    armed = ProtocolConfig(
-        scale=ScaleConfig(gossip=True, ack_tree=True, witnesses=2)
-    )
-    rt_armed, rate_armed = one(armed, n_cohorts=7)
-    rt_base7, _ = one(None, n_cohorts=7)
-    if state_digest(rt_armed) != state_digest(rt_base7):
-        raise AssertionError(
-            "scale_overhead: armed mechanisms changed the replicated state "
-            f"({state_digest(rt_base7)[:12]} != {state_digest(rt_armed)[:12]})"
-        )
-    rt_off.perf_extra = {
-        "events_per_sec_disabled": round(rate_off, 1),
-        "events_per_sec_all_off": round(rate_alloff, 1),
-        "all_off_overhead_pct": round(
-            100.0 * (1.0 - rate_alloff / rate_off), 2
-        ),
-        "events_per_sec_armed_n7": round(rate_armed, 1),
-        "armed_messages_n7": rt_armed.network.messages_sent_total,
-        "baseline_messages_n7": rt_base7.network.messages_sent_total,
-    }
-    return rt_off
-
-
-def _geo_overhead(quick: bool):
-    """The GeoConfig zero-cost claim, measured: the same seeded KV batch
-    on the flat network (``geo is None``) and on a degenerate one-DC
-    topology whose every link tier equals the flat default (LAN), with
-    placement and structural-link resolution armed.  Geography is pure
-    transport shape: with identical link models the armed run must
-    schedule *identically* -- asserted on the full ledger digest, event
-    count and clock included.  The flat pass supplies the report's
-    events/s figure and digest, so the baseline gate gates the
-    ``geo is None`` hot path; the armed/flat ratio lands in ``extra``."""
-    from repro.config import GeoConfig, ProtocolConfig
-    from repro.geo.topology import Datacenter, Topology, Zone
-    from repro.net.link import LAN
-
-    txns = 150 if quick else 450
-
-    def one(config):
-        rt, _kv, _clients, driver, spec = build_kv_system(
-            seed=4242, n_cohorts=3, config=config
-        )
-        started = time.perf_counter()
-        run_kv_batch(rt, driver, spec, txns, read_fraction=0.5, concurrency=4)
-        rt.quiesce()
-        elapsed = time.perf_counter() - started
-        return rt, rt.sim.events_processed / max(elapsed, 1e-9)
-
-    one_dc = Topology(
-        (Datacenter("dc", (Zone("z", slots=8),)),),
-        intra_zone=LAN, intra_dc=LAN, cross_dc=LAN,
-    )
-    rt_flat, rate_flat = one(None)
-    rt_geo, rate_geo = one(
-        ProtocolConfig(geo=GeoConfig(topology=one_dc, placement="spread"))
-    )
-    if _digest(rt_flat) != _digest(rt_geo):
-        raise AssertionError(
-            "geo_overhead: LAN-equivalent topology scheduled differently "
-            f"from the flat network ({_digest(rt_flat)[:12]} != "
-            f"{_digest(rt_geo)[:12]})"
-        )
-    rt_flat.perf_extra = {
-        "events_per_sec_flat": round(rate_flat, 1),
-        "events_per_sec_geo": round(rate_geo, 1),
-        "geo_overhead_pct": round(100.0 * (1.0 - rate_geo / rate_flat), 2),
-        "structural_links": len(rt_geo.network.structural_links()),
-    }
-    return rt_flat
-
-
 def _geo_commit_latency(quick: bool):
     """The E20(b) regime as a regression gate: the standard closed-loop
     KV mix on a 3-datacenter topology under ``spread`` placement, so
@@ -603,20 +360,34 @@ def _chaos_soak(quick: bool):
     return captured["rt"]
 
 
+#: The ``*_overhead`` family: one scenario per :mod:`repro.gates` row
+#: with an overhead table, checking that row's contracts on the timed
+#: KV batch (its first condition is the gated pass).
+_OVERHEAD = {
+    row.overhead.scenario: Scenario(
+        row.overhead.scenario,
+        OVERHEAD_SEED,
+        "call_latency:kv",
+        functools.partial(run_overhead, row),
+    )
+    for row in ROWS.values()
+    if row.overhead is not None
+}
+
 SCENARIOS: List[Scenario] = [
     Scenario("micro_call_overhead", 4242, "call_latency:kv", _micro),
     Scenario("e13_end_to_end", 1313, "call_latency:kv", _e13_end_to_end),
     Scenario("lossy_view_change_storm", 1601, "call_latency:kv", _lossy_storm),
     Scenario("chaos_soak", 2026, "call_latency:kv", _chaos_soak),
-    Scenario("trace_overhead", 4242, "call_latency:kv", _trace_overhead),
-    Scenario("liveness_overhead", 4242, "call_latency:kv", _liveness_overhead),
+    _OVERHEAD["trace_overhead"],
+    _OVERHEAD["liveness_overhead"],
     Scenario("sharded_routing", 1717, "call_latency:kv-s0", _sharded_routing),
     Scenario("batching_throughput", 1818, "call_latency:kv", _batching_throughput),
     Scenario("batching_pipeline", 1819, "call_latency:kv", _batching_pipeline),
     Scenario("read_throughput", 1901, "driver_read_latency", _read_throughput),
-    Scenario("lease_overhead", 4242, "call_latency:kv", _lease_overhead),
-    Scenario("scale_overhead", 4242, "call_latency:kv", _scale_overhead),
-    Scenario("geo_overhead", 4242, "call_latency:kv", _geo_overhead),
+    _OVERHEAD["lease_overhead"],
+    _OVERHEAD["scale_overhead"],
+    _OVERHEAD["geo_overhead"],
     Scenario("geo_commit_latency", 2020, "call_latency:kv", _geo_commit_latency),
 ]
 

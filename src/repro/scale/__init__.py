@@ -8,7 +8,7 @@ three classic remedies, each independently toggleable through
 :class:`repro.config.ScaleConfig` and each *off by the absence of the
 config* -- ``ProtocolConfig.scale is None`` (or a ScaleConfig with every
 mechanism off) replays the paper-faithful schedules byte-for-byte,
-proven by ``python -m repro.scale.gate`` and the ``scale_overhead``
+proven by ``python -m repro.gates run scale`` and the ``scale_overhead``
 perf scenario:
 
 - **gossip heartbeats** -- each cohort heartbeats ``gossip_fanout``

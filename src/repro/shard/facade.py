@@ -285,7 +285,7 @@ def shard_ledger_digest(runtime, groupid: str) -> str:
 
     Two same-seed runs must agree on every shard's digest -- this is the
     per-shard refinement of :func:`repro.perf.report.ledger_digest`, and
-    what ``python -m repro.shard determinism`` (CI's e17 check) compares.
+    what ``python -m repro.gates run shard`` (CI's e17 check) compares.
     """
     ledger = runtime.ledger
     effects = sorted(

@@ -15,9 +15,8 @@ Subcommands::
     monitors
         The invariant-monitor catalog with paper sections.
 
-    check-docs DOC
-        Fail unless every event kind and monitor name is mentioned in DOC
-        (the docs-drift gate for docs/TRACING.md).
+``python -m repro.gates check-docs trace`` is the docs-drift gate for
+docs/TRACING.md.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import sys
 from collections import deque
 from typing import Dict, List
 
-from repro.trace.events import EVENT_KINDS, TraceEvent
+from repro.trace.events import TraceEvent
 from repro.trace.export import read_jsonl, write_chrome
 from repro.trace.monitors import MONITORS
 
@@ -100,24 +99,6 @@ def _monitors(_args) -> int:
     return 0
 
 
-def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    missing = [kind for kind in sorted(EVENT_KINDS) if kind not in text]
-    missing += [name for name in sorted(MONITORS) if name not in text]
-    if missing:
-        print(f"{args.doc} is missing documentation for: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    print(f"{args.doc} documents all {len(EVENT_KINDS)} event kinds and "
-          f"{len(MONITORS)} monitors")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
@@ -146,11 +127,6 @@ def main(argv=None) -> int:
 
     monitors = sub.add_parser("monitors", help="invariant-monitor catalog")
     monitors.set_defaults(fn=_monitors)
-
-    check = sub.add_parser("check-docs",
-                           help="assert DOC mentions every kind/monitor")
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
 
     args = parser.parse_args(argv)
     try:

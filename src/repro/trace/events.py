@@ -26,7 +26,7 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 #: Catalog of event kinds the instrumentation can emit.  ``python -m
-#: repro.trace check-docs`` asserts each name is documented in
+#: repro.gates check-docs trace`` asserts each name is documented in
 #: docs/TRACING.md, so adding a kind here without documenting it fails CI.
 EVENT_KINDS: Dict[str, str] = {
     # network plane (net/network.py)

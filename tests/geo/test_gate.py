@@ -1,37 +1,43 @@
-"""The E20 gate cell and the geo docs-drift CLI."""
+"""The geo row of ``python -m repro.gates``: the E20 state run and the
+geo docs-drift check."""
 
-import pathlib
+import dataclasses
 
-from repro.geo.__main__ import main as geo_main
-from repro.harness.experiments_geo import _geo_state_run
+from repro.gates import ROWS, kv_writes
+from repro.gates import main as gates_main
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+def _geo_state_run(seed, label, txns):
+    row = ROWS["geo"]
+    condition = next(c for c in row.conditions if c.label == label)
+    return kv_writes(seed, condition.config, txns, **{**row.shape, **condition.shape})
 
 
 def test_state_run_is_deterministic_and_placement_invariant():
-    flat = _geo_state_run(77, None, txns=8)
-    again = _geo_state_run(77, None, txns=8)
+    flat = _geo_state_run(77, "flat", txns=8)
+    again = _geo_state_run(77, "flat", txns=8)
     spread = _geo_state_run(77, "spread", txns=8)
-    assert flat == again  # same seed, same run -- metrics and digest
-    metrics, digest = flat
-    assert metrics["writes_committed"] == 8
+    assert flat == again  # same seed, same run -- every digest and count
+    assert flat.writes == 8
     # Geography reshapes transport, never the replicated state.
-    assert spread[1] == digest
-    assert spread[0]["writes_committed"] == 8
+    assert spread.state == flat.state
+    assert spread.writes == 8
 
 
 def test_check_docs_passes_on_shipped_doc(capsys):
-    doc = REPO_ROOT / "docs" / "GEO.md"
-    assert geo_main(["check-docs", str(doc)]) == 0
+    assert gates_main(["check-docs", "geo"]) == 0
     assert "documents all" in capsys.readouterr().out
 
 
-def test_check_docs_fails_on_incomplete_doc(tmp_path, capsys):
+def test_check_docs_fails_on_incomplete_doc(monkeypatch, tmp_path, capsys):
     doc = tmp_path / "GEO.md"
     doc.write_text("# geography\n\nnothing relevant here\n")
-    assert geo_main(["check-docs", str(doc)]) == 1
+    monkeypatch.setitem(ROWS, "geo", dataclasses.replace(ROWS["geo"], doc=str(doc)))
+    assert gates_main(["check-docs", "geo"]) == 1
     assert "missing documentation" in capsys.readouterr().err
 
 
-def test_check_docs_unreadable_doc(tmp_path):
-    assert geo_main(["check-docs", str(tmp_path / "missing.md")]) == 2
+def test_check_docs_unreadable_doc(monkeypatch, tmp_path):
+    missing = str(tmp_path / "missing.md")
+    monkeypatch.setitem(ROWS, "geo", dataclasses.replace(ROWS["geo"], doc=missing))
+    assert gates_main(["check-docs", "geo"]) == 2

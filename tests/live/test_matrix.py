@@ -1,7 +1,11 @@
 """The nemesis x spec matrix: cells, the unhealable cell, and the CLI."""
 
+import dataclasses
+
 import pytest
 
+from repro.gates import ROWS
+from repro.gates import main as gates_main
 from repro.live import SCHEDULES, run_cell, run_matrix
 from repro.live.cli import main as live_main
 
@@ -60,10 +64,12 @@ def test_cli_lists_specs_and_schedules(capsys):
 
 
 def test_cli_check_docs_passes_on_the_shipped_doc():
-    assert live_main(["check-docs", "docs/LIVENESS.md"]) == 0
+    assert gates_main(["check-docs", "live"]) == 0
 
 
-def test_cli_check_docs_fails_on_incomplete_doc(tmp_path, capsys):
+def test_cli_check_docs_fails_on_incomplete_doc(monkeypatch, tmp_path, capsys):
     doc = tmp_path / "LIVENESS.md"
     doc.write_text("eventually_single_primary only\n")
-    assert live_main(["check-docs", str(doc)]) == 1
+    monkeypatch.setitem(ROWS, "live", dataclasses.replace(ROWS["live"], doc=str(doc)))
+    assert gates_main(["check-docs", "live"]) == 1
+    assert "missing documentation" in capsys.readouterr().err

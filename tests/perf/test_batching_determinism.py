@@ -5,12 +5,15 @@
 a batched and an unbatched run of the same idempotent retried workload
 must end in byte-identical replicated state -- on a clean schedule, under
 loss, and through a mid-stream view change.  These are the tier-1
-counterparts of the E18 experiment and CI's ``repro.perf.batchgate``.
+counterparts of the E18 experiment and the ``batch`` row of
+``python -m repro.gates``.
 """
 
 import pytest
 
-from repro.harness.experiments_scale import _batching_run
+from repro import LOSSY, Nemesis
+from repro.gates import batched
+from repro.harness.common import state_run
 from repro.perf.report import state_digest
 from repro.workloads.loadgen import run_retry_loop
 
@@ -19,11 +22,22 @@ CONCURRENCY = 8
 
 
 def _cell(condition, batch, seed=181):
-    metrics, digest = _batching_run(seed, condition, batch, TXNS, CONCURRENCY)
-    assert metrics["committed"] == TXNS, (
-        f"{condition}/{batch}: only {metrics['committed']}/{TXNS} committed"
+    fault = None
+    if condition == "viewchange":
+        fault = Nemesis().crash_primary("kv", every=150.0, count=1, recover_after=400.0)
+    rt, stats, _reads = state_run(
+        seed, batched(*batch) if batch else None, TXNS,
+        link=LOSSY if condition == "lossy" else None,
+        fault=fault, concurrency=CONCURRENCY, deadline=200_000.0,
     )
-    return metrics, digest
+    assert stats.committed == TXNS, (
+        f"{condition}/{batch}: only {stats.committed}/{TXNS} committed"
+    )
+    metrics = {
+        "messages": rt.network.messages_sent_total,
+        "view_changes": len(rt.ledger.view_changes_for("kv")),
+    }
+    return metrics, state_digest(rt)
 
 
 @pytest.mark.parametrize("batch", [(1, 1), (8, 2), (64, 4), (256, 8)])

@@ -1,14 +1,11 @@
 """Determinism of the read serving path: same seed, same condition must
 replay byte-for-byte, and every serving configuration (reads disabled,
 leases, backup reads, client cache) must leave the committed state with
-an identical digest -- the property `python -m repro.reads.gate` checks
-at full size, here at small parameters for the tier-1 suite."""
+an identical digest -- the ``reads`` row of `python -m repro.gates`,
+here at small parameters for the tier-1 suite."""
 
-from repro.harness.experiments_reads import (
-    E19_CONDITIONS,
-    _reads_run,
-    _reads_state_run,
-)
+from repro.gates import ROWS, kv_writes
+from repro.harness.experiments_reads import _reads_run
 
 
 def test_same_seed_same_condition_replays_identically():
@@ -18,19 +15,16 @@ def test_same_seed_same_condition_replays_identically():
 
 
 def test_all_serving_configs_commit_identical_state():
+    row = ROWS["reads"]
+    shape = {**row.shape, "reads": (0.4, 120.0, "e19-gate")}
     runs = {
-        condition: _reads_state_run(6, condition, txns=8, duration=120.0)
-        for condition in E19_CONDITIONS
+        condition.label: kv_writes(6, condition.config, 8, **{**shape, **condition.shape})
+        for condition in row.conditions
     }
-    digests = {digest for _metrics, digest in runs.values()}
+    assert set(runs) == {"baseline", "leases", "backup", "cache"}
+    digests = {run.state for run in runs.values()}
     assert len(digests) == 1, (
         "serving configs diverged: "
-        + ", ".join(
-            f"{condition}={digest[:12]}"
-            for condition, (_metrics, digest) in sorted(runs.items())
-        )
+        + ", ".join(f"{label}={run.state[:12]}" for label, run in sorted(runs.items()))
     )
-    committed = {
-        metrics["writes_committed"] for metrics, _digest in runs.values()
-    }
-    assert committed == {8}
+    assert {run.writes for run in runs.values()} == {8}

@@ -1,45 +1,51 @@
-"""The E21 gate cell and the scale docs-drift CLI."""
+"""The scale row of ``python -m repro.gates``: the E21 state run and the
+scale docs-drift check."""
 
-import pathlib
+import dataclasses
 
-from repro.config import ScaleConfig
-from repro.harness.experiments_cohort import _scale_state_run
-from repro.scale.__main__ import main as scale_main
+from repro.config import ProtocolConfig, ScaleConfig
+from repro.gates import ROWS, kv_writes
+from repro.gates import main as gates_main
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+def _scale_state_run(seed, config, txns, cohorts):
+    return kv_writes(seed, config, txns, **{**ROWS["scale"].shape, "cohorts": cohorts})
 
 
 def test_state_run_is_deterministic_and_mechanism_invariant():
-    baseline = _scale_state_run(77, None, txns=8, n_cohorts=5)
-    again = _scale_state_run(77, None, txns=8, n_cohorts=5)
-    assert baseline == again  # same seed, same run -- metrics and digests
-    metrics, ledger, state = baseline
-    assert metrics["writes_committed"] == 8
+    baseline = _scale_state_run(77, None, txns=8, cohorts=5)
+    again = _scale_state_run(77, None, txns=8, cohorts=5)
+    assert baseline == again  # same seed, same run -- every digest and count
+    assert baseline.writes == 8
     # All-off is byte-identical DOWN TO THE SCHEDULE (ledger digest)...
-    all_off = _scale_state_run(77, ScaleConfig(), txns=8, n_cohorts=5)
+    all_off = _scale_state_run(
+        77, ProtocolConfig(scale=ScaleConfig()), txns=8, cohorts=5
+    )
     assert all_off == baseline
     # ...while armed mechanisms move messages but never change the state.
     armed = _scale_state_run(
-        77, ScaleConfig(gossip=True, ack_tree=True, witnesses=1),
-        txns=8, n_cohorts=5,
+        77, ProtocolConfig(scale=ScaleConfig(gossip=True, ack_tree=True, witnesses=1)),
+        txns=8, cohorts=5,
     )
-    assert armed[0]["writes_committed"] == 8
-    assert armed[2] == state
-    assert armed[1] != ledger  # gossip genuinely reshapes the schedule
+    assert armed.writes == 8
+    assert armed.state == baseline.state
+    assert armed.ledger != baseline.ledger  # gossip genuinely reshapes the schedule
 
 
 def test_check_docs_passes_on_shipped_doc(capsys):
-    doc = REPO_ROOT / "docs" / "SCALE.md"
-    assert scale_main(["check-docs", str(doc)]) == 0
+    assert gates_main(["check-docs", "scale"]) == 0
     assert "documents all" in capsys.readouterr().out
 
 
-def test_check_docs_fails_on_incomplete_doc(tmp_path, capsys):
+def test_check_docs_fails_on_incomplete_doc(monkeypatch, tmp_path, capsys):
     doc = tmp_path / "SCALE.md"
     doc.write_text("# scaling\n\nnothing relevant here\n")
-    assert scale_main(["check-docs", str(doc)]) == 1
+    monkeypatch.setitem(ROWS, "scale", dataclasses.replace(ROWS["scale"], doc=str(doc)))
+    assert gates_main(["check-docs", "scale"]) == 1
     assert "missing documentation" in capsys.readouterr().err
 
 
-def test_check_docs_unreadable_doc(tmp_path):
-    assert scale_main(["check-docs", str(tmp_path / "missing.md")]) == 2
+def test_check_docs_unreadable_doc(monkeypatch, tmp_path):
+    missing = str(tmp_path / "missing.md")
+    monkeypatch.setitem(ROWS, "scale", dataclasses.replace(ROWS["scale"], doc=missing))
+    assert gates_main(["check-docs", "scale"]) == 2

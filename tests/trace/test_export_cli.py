@@ -1,8 +1,11 @@
 """Exports and the ``python -m repro.trace`` CLI."""
 
+import dataclasses
 import json
 
 from repro.config import TraceConfig
+from repro.gates import ROWS
+from repro.gates import main as gates_main
 from repro.harness.common import build_kv_system, run_kv_batch
 from repro.trace.cli import main as cli_main
 
@@ -99,11 +102,15 @@ def test_cli_monitors_catalog(capsys):
         assert name in out
 
 
-def test_cli_check_docs(tmp_path, capsys):
-    assert cli_main(["check-docs", "docs/TRACING.md"]) == 0
+def test_cli_check_docs(monkeypatch, tmp_path, capsys):
+    assert gates_main(["check-docs", "trace"]) == 0
     capsys.readouterr()
+    row = ROWS["trace"]
     incomplete = tmp_path / "thin.md"
     incomplete.write_text("only msg_send is here\n")
-    assert cli_main(["check-docs", str(incomplete)]) == 1
+    monkeypatch.setitem(ROWS, "trace", dataclasses.replace(row, doc=str(incomplete)))
+    assert gates_main(["check-docs", "trace"]) == 1
     assert "missing documentation" in capsys.readouterr().err
-    assert cli_main(["check-docs", str(tmp_path / "absent.md")]) == 2
+    absent = str(tmp_path / "absent.md")
+    monkeypatch.setitem(ROWS, "trace", dataclasses.replace(row, doc=absent))
+    assert gates_main(["check-docs", "trace"]) == 2

@@ -1,7 +1,7 @@
 """Tests for the three-service order workload."""
 
 
-from repro import EmptyModule, Runtime
+from repro import EmptyModule, Nemesis, Runtime
 from repro.workloads.loadgen import run_closed_loop
 from repro.workloads.orders import (
     InventorySpec,
@@ -10,7 +10,6 @@ from repro.workloads.orders import (
     check_order_invariants,
     place_order_program,
 )
-from repro.workloads.schedules import kill_primary_every
 
 
 def build(seed=1, n_cohorts=3, stock=20, balance=100):
@@ -28,7 +27,7 @@ def build(seed=1, n_cohorts=3, stock=20, balance=100):
 
 def test_single_order_commits_across_three_groups():
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build()
-    future = driver.submit("clients", "place_order", "alice", "widget", 2, 5)
+    future = driver.call("clients", "place_order", "alice", "widget", 2, 5)
     rt.run_for(500)
     outcome, order_id = future.result()
     assert outcome == "committed"
@@ -44,7 +43,7 @@ def test_single_order_commits_across_three_groups():
 
 def test_out_of_stock_aborts_whole_order():
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build(stock=1)
-    future = driver.submit("clients", "place_order", "alice", "widget", 5, 5)
+    future = driver.call("clients", "place_order", "alice", "widget", 5, 5)
     rt.run_for(500)
     assert future.result()[0] == "aborted"
     rt.quiesce()
@@ -57,7 +56,7 @@ def test_insufficient_funds_rolls_back_reservation():
     """The inventory call succeeded before the payment aborted; its
     tentative reservation must be discarded everywhere."""
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build(balance=3)
-    future = driver.submit("clients", "place_order", "alice", "widget", 2, 5)
+    future = driver.call("clients", "place_order", "alice", "widget", 2, 5)
     rt.run_for(500)
     assert future.result()[0] == "aborted"
     rt.quiesce()
@@ -69,7 +68,7 @@ def test_insufficient_funds_rolls_back_reservation():
 def test_order_ids_are_dense_and_unique():
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build()
     futures = [
-        driver.submit("clients", "place_order", "alice", "widget", 1, 2)
+        driver.call("clients", "place_order", "alice", "widget", 1, 2)
         for _ in range(4)
     ]
     rt.run_for(3000)
@@ -90,7 +89,11 @@ def test_books_balance_under_failures():
         for _ in range(25)
     ]
     stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2)
-    kill_primary_every(rt, inventory, interval=300.0, count=2, recover_after=150.0)
+    rt.inject(
+        Nemesis().crash_primary(
+            inventory.groupid, every=300.0, count=2, recover_after=150.0
+        )
+    )
     deadline = rt.sim.now + 40_000
     while stats.submitted < len(jobs) and rt.sim.now < deadline:
         rt.run_for(500)
