@@ -140,8 +140,8 @@ class ReadConfig:
     """
 
     #: Master switch; False reproduces the read-through-the-call-path
-    #: protocol exactly (the ``reads is None`` hot path, perf-gated by
-    #: the ``lease_overhead`` scenario).
+    #: protocol exactly (no reads plane is attached; perf-gated by the
+    #: ``lease_overhead`` scenario).
     enabled: bool = False
     #: How far ahead a grant (and therefore a promise) extends.  Must
     #: comfortably exceed ``im_alive_interval`` so heartbeat-carried
@@ -366,8 +366,8 @@ class ProtocolConfig:
     # (or a GeoConfig without a topology) is the flat-network fast path.
     geo: Optional[GeoConfig] = None
     # Like geo, scale is NOT auto-instantiated: ``scale is None`` (or a
-    # ScaleConfig with every mechanism off) is the paper-faithful cohort
-    # fast path, byte-identical to pre-scale schedules.
+    # ScaleConfig with every mechanism off) attaches no scale plane, so
+    # the cohort runs byte-identical to pre-scale schedules.
     scale: Optional[ScaleConfig] = None
 
     def __post_init__(self) -> None:

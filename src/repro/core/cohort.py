@@ -19,12 +19,16 @@ Role behaviour is delegated: :class:`~repro.core.server_role.ServerRole`
 module owns message dispatch, backup event-record application, query
 answering (section 3.4), liveness ("I'm alive") and unilateral view edits
 (section 4.1).
+
+Everything beyond the paper is a *plane* (:mod:`repro.core.plane`) built
+outside this module and attached at construction; with no planes the
+cohort runs the paper's protocol and nothing else.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core import messages as m
@@ -41,16 +45,16 @@ from repro.core.events import (
     NewView,
     ViewEdit,
 )
+from repro.core.plane import Handler, Plane
 from repro.core.view import View, majority
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
-from repro.reads.lease import ReadState
 from repro.sim.future import Future
 from repro.sim.node import Actor, Node
 from repro.storage.stable import StableStoragePolicy, StableStore
 from repro.txn.ids import Aid
 from repro.txn.locks import LockManager
-from repro.txn.objects import ObjectStore, WRITE
+from repro.txn.objects import ObjectStore, TentativeWrite, WRITE
 
 
 class Status(enum.Enum):
@@ -59,6 +63,15 @@ class Status(enum.Enum):
     ACTIVE = "active"
     VIEW_MANAGER = "view_manager"
     UNDERLING = "underling"
+
+
+def _unhandled(message) -> None:  # pragma: no cover - wire new types in
+    raise NotImplementedError(f"unhandled message {message!r}")
+
+
+#: Dispatch entry for a type nobody registered: rejected unless we are the
+#: active primary, which must never receive one.
+_UNHANDLED: Handler = (_unhandled, True)
 
 
 class Cohort(Actor):
@@ -75,6 +88,7 @@ class Cohort(Actor):
         config: ProtocolConfig,
         initial_viewid: ViewId,
         initial_view: View,
+        planes: Optional[Callable[["Cohort"], Sequence[Plane]]] = None,
     ):
         address = dict(configuration)[mid]
         super().__init__(node, address)
@@ -104,36 +118,6 @@ class Cohort(Actor):
         self.buffer: Optional[CommunicationBuffer] = None
         self.applied_ts = 0  # backup: highest contiguously applied ts
 
-        # -- read serving path (repro.reads; None = paper-faithful) --
-        self.reads: Optional[ReadState] = (
-            ReadState(config.reads, len(configuration), lambda: self.sim.now)
-            if config.reads is not None and config.reads.enabled
-            else None
-        )
-
-        # -- large-cohort mechanisms (repro.scale; None = paper-faithful).
-        # A ScaleConfig with every mechanism off is normalized to None so
-        # the hot paths keep a single `scale is None` fast test.
-        scale = config.scale
-        if scale is not None and not scale.any_enabled():
-            scale = None
-        self.scale = scale
-        self._witnesses: frozenset = frozenset()
-        self._gossip_rng = None
-        self._ack_children: Dict[int, int] = {}
-        self._ack_children_viewid: Optional[ViewId] = None
-        self._ack_tree = None
-        self._ack_tree_key = None
-        self._ack_fwd_armed = False
-        self._witness_install_pending: set = set()
-        if scale is not None:
-            from repro.scale import witness_mids
-
-            if scale.witnesses > 0:
-                self._witnesses = witness_mids(len(configuration), scale.witnesses)
-            if scale.gossip:
-                self._gossip_rng = runtime.sim.rng.fork(f"gossip/{address}")
-
         # -- gstate --
         self.store = ObjectStore()
         for uid, value in spec.initial_objects().items():
@@ -157,9 +141,6 @@ class Cohort(Actor):
         self.view_change = ViewChangeController(self)
 
         # -- liveness --
-        self.last_heard: Dict[int, float] = {
-            peer: 0.0 for peer, _addr in configuration if peer != mid
-        }
         self.detect = FailureDetector(
             config,
             peers=[peer for peer, _addr in configuration if peer != mid],
@@ -170,28 +151,64 @@ class Cohort(Actor):
         self.timeouts = AdaptiveTimeouts(config, self.rtt)
         self._change_pending_since: Optional[float] = None
         self._epoch = 0  # bumped on every status transition; guards timers
-        # Batched-mode liveness piggybacking: when buffer traffic to a peer
-        # carries sent_at, the periodic heartbeat to that peer is redundant.
-        self._last_liveness_sent: Dict[int, float] = {}
-        # Batched-mode ack coalescing: applied-but-unacked BufferMsg count
-        # and whether the coalescing timer is armed.
-        self._acks_pending = 0
-        self._ack_timer_armed = False
+
+        # -- message dispatch: type -> (handler, needs an active primary) --
+        server, client = self.server_role, self.client_role
+        coordinator, view_change = self.coordinator_role, self.view_change
+        self._handlers: Dict[type, Handler] = {
+            # Any status (section 3.4: queries "can be answered by any
+            # cohort that knows the answer"; probes likewise).
+            m.QueryMsg: (self._handle_query, False),
+            m.ViewProbeMsg: (self._handle_view_probe, False),
+            m.ImAliveMsg: (self._handle_im_alive, False),
+            m.InviteMsg: (view_change.on_invite, False),
+            m.AcceptMsg: (view_change.on_accept, False),
+            m.InitViewMsg: (view_change.on_init_view, False),
+            m.BufferMsg: (self._handle_buffer_msg, False),
+            m.BufferAckMsg: (self._handle_buffer_ack, False),
+            m.ReadMsg: (self._handle_read, False),
+            # Replies to calls we originated (the caller is rebuilt on
+            # recovery, hence the late binding).
+            m.ReplyMsg: (lambda msg: self.caller.on_reply(msg), False),
+            m.CallFailedMsg: (lambda msg: self.caller.on_call_failed(msg), False),
+            m.ViewChangedMsg: (self._handle_view_changed, False),
+            m.ViewProbeReplyMsg: (lambda msg: self.caller.on_probe_reply(msg), False),
+            m.QueryReplyMsg: (server.on_query_reply, False),
+            # Section 3.3: "cohorts that are not active primaries reject
+            # messages sent to them by other module groups".
+            m.CallMsg: (server.on_call, True),
+            m.PrepareMsg: (server.on_prepare, True),
+            m.CommitMsg: (server.on_commit, True),
+            m.AbortMsg: (server.on_abort, True),
+            m.SubactionAbortMsg: (server.on_subaction_abort, True),
+            m.PrepareOkMsg: (client.on_prepare_ok, True),
+            m.PrepareRefusedMsg: (client.on_prepare_refused, True),
+            m.CommitAckMsg: (client.on_commit_ack, True),
+            m.TxnRequestMsg: (client.on_txn_request, True),
+            m.BeginTxnMsg: (coordinator.on_begin, True),
+            m.FinishTxnMsg: (coordinator.on_finish, True),
+            m.ClientProbeReplyMsg: (coordinator.on_probe_reply, True),
+        }
+
+        # -- planes (beyond the paper; see repro.core.plane) --
+        #: Bufferless voting members; only a plane can configure any.
+        self.witness_mids: frozenset = frozenset()
+        #: The plane that serves ReadMsg, if one is attached.
+        self.read_plane: Any = None
+        self.planes: Tuple[Plane, ...] = tuple(planes(self)) if planes else ()
+        for plane in self.planes:
+            self._handlers.update(plane.handlers())
 
         runtime.network.register(self)
         if self.is_primary:
             self._open_buffer()
-            if self.tracer is not None:
-                # The constructor never goes through activate_as_primary,
-                # so the initial view's activation is emitted here.
-                self.tracer.emit(
-                    "primary_activated",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    viewid=str(self.cur_viewid),
-                    members=sorted(self.cur_view.members),
-                )
+            # The constructor never goes through activate_as_primary, so
+            # the initial view's activation is emitted here.
+            self.emit(
+                "primary_activated",
+                viewid=str(self.cur_viewid),
+                members=sorted(self.cur_view.members),
+            )
         self._start_heartbeat()
         if self.is_primary:
             self._start_flush_loop()
@@ -216,14 +233,11 @@ class Cohort(Actor):
 
     @property
     def is_witness(self) -> bool:
-        """A bufferless voting member (repro.scale witnesses)."""
-        return self.mymid in self._witnesses
+        return self.mymid in self.witness_mids
 
-    def _storage_backups(self, backups) -> Tuple[int, ...]:
-        """Backups that hold an event buffer (witnesses excluded)."""
-        if not self._witnesses:
-            return tuple(backups)
-        return tuple(b for b in backups if b not in self._witnesses)
+    def storage_backups(self, backups) -> Tuple[int, ...]:
+        """Backups that hold an event buffer (every backup, absent witnesses)."""
+        return tuple(b for b in backups if b not in self.witness_mids)
 
     def peer_address(self, mid: int) -> str:
         for peer, address in self.configuration:
@@ -241,124 +255,28 @@ class Cohort(Actor):
         """(mid, address) pairs for a group -- via the location service."""
         return self.runtime.location.lookup(groupid)
 
+    def emit(self, kind: str, **data) -> None:
+        """Trace event stamped with this cohort's identity (no-op untraced)."""
+        if self.tracer is not None:
+            self.tracer.emit(
+                kind, node=self.node.node_id, group=self.mygroupid, mid=self.mymid,
+                **data,
+            )
+
     # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
 
     def handle_message(self, message, source: str) -> None:
-        # Messages every status handles (section 3.4: queries "can be
-        # answered by any cohort that knows the answer"; probes likewise).
-        if isinstance(message, m.QueryMsg):
-            self._handle_query(message)
-            return
-        if isinstance(message, m.ViewProbeMsg):
-            self._handle_view_probe(message)
-            return
-        if isinstance(message, m.ImAliveMsg):
-            self._handle_im_alive(message)
-            return
-        if isinstance(message, m.InviteMsg):
-            self.view_change.on_invite(message)
-            return
-        if isinstance(message, m.AcceptMsg):
-            self.view_change.on_accept(message)
-            return
-        if isinstance(message, m.InitViewMsg):
-            self.view_change.on_init_view(message)
-            return
-        if isinstance(message, m.WitnessInstallMsg):
-            self.view_change.on_witness_install(message)
-            return
-        if isinstance(message, m.BufferMsg):
-            self._handle_buffer_msg(message)
-            return
-        if isinstance(message, m.BufferAckMsg):
-            if self.config.batch.enabled and self.config.batch.piggyback_liveness:
-                # Acks prove the backup is alive; feed the detector so the
-                # backup may skip its redundant heartbeat (batched mode).
-                if message.mid in self.last_heard:
-                    self.last_heard[message.mid] = self.sim.now
-                    self.detect.heard(message.mid, sent_at=message.sent_at)
-            if (
-                self.reads is not None
-                and message.lease_until is not None
-                and message.viewid == self.cur_viewid
-                and self.is_active_primary
-            ):
-                self._note_lease_grant(message.mid, message.lease_until)
-            if self._witness_install_pending:
-                # A witness confirmed its view install (acked_ts is 0; a
-                # witness applies nothing) -- stop retransmitting to it.
-                self._witness_install_pending.discard(message.mid)
-            if (
-                self.scale is not None
-                and self.scale.ack_tree
-                and not self.is_primary
-                and self.status is Status.ACTIVE
-                and message.viewid == self.cur_viewid
-            ):
-                # Ack-tree interior node: fold the child's subtree into
-                # ours and forward upward after a coalescing delay.
-                self._on_child_ack(message)
-                return
-            if self.is_active_primary and self.buffer is not None:
-                self.buffer.on_ack(message)
-            return
-        if isinstance(message, m.ReadMsg):
-            self._handle_read(message)
-            return
-
-        # Replies to calls we originated are consumed in any active state.
-        if isinstance(message, m.ReplyMsg):
-            self.caller.on_reply(message)
-            return
-        if isinstance(message, m.CallFailedMsg):
-            self.caller.on_call_failed(message)
-            return
-        if isinstance(message, m.ViewChangedMsg):
-            self.caller.on_view_changed(message)
-            self.client_role.on_view_changed(message)
-            return
-        if isinstance(message, m.ViewProbeReplyMsg):
-            self.caller.on_probe_reply(message)
-            return
-        if isinstance(message, m.QueryReplyMsg):
-            self.server_role.on_query_reply(message)
-            return
-
-        # Everything else requires being the active primary (section 3.3:
-        # "cohorts that are not active primaries reject messages sent to
-        # them by other module groups").
-        if not self.is_active_primary:
+        handler, needs_primary = self._handlers.get(type(message), _UNHANDLED)
+        if needs_primary and not self.is_active_primary:
             self._reject(message, source)
             return
+        handler(message)
 
-        if isinstance(message, m.CallMsg):
-            self.server_role.on_call(message)
-        elif isinstance(message, m.PrepareMsg):
-            self.server_role.on_prepare(message)
-        elif isinstance(message, m.CommitMsg):
-            self.server_role.on_commit(message)
-        elif isinstance(message, m.AbortMsg):
-            self.server_role.on_abort(message)
-        elif isinstance(message, m.SubactionAbortMsg):
-            self.server_role.on_subaction_abort(message)
-        elif isinstance(message, m.PrepareOkMsg):
-            self.client_role.on_prepare_ok(message)
-        elif isinstance(message, m.PrepareRefusedMsg):
-            self.client_role.on_prepare_refused(message)
-        elif isinstance(message, m.CommitAckMsg):
-            self.client_role.on_commit_ack(message)
-        elif isinstance(message, m.TxnRequestMsg):
-            self.client_role.on_txn_request(message)
-        elif isinstance(message, m.BeginTxnMsg):
-            self.coordinator_role.on_begin(message)
-        elif isinstance(message, m.FinishTxnMsg):
-            self.coordinator_role.on_finish(message)
-        elif isinstance(message, m.ClientProbeReplyMsg):
-            self.coordinator_role.on_probe_reply(message)
-        else:  # pragma: no cover - new message types must be wired here
-            raise NotImplementedError(f"unhandled message {message!r}")
+    def _handle_view_changed(self, msg: m.ViewChangedMsg) -> None:
+        self.caller.on_view_changed(msg)
+        self.client_role.on_view_changed(msg)
 
     def _reject(self, message, source: str) -> None:
         """Reject with current view info if we know it (section 3.3)."""
@@ -396,11 +314,8 @@ class Cohort(Actor):
         self.history.advance(viewstamp.id, viewstamp.ts)
         self._record_bookkeeping(viewstamp, record, at_backup=False)
         if self.tracer is not None:
-            self.tracer.emit(
+            self.emit(
                 "record_added",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
                 viewid=str(viewstamp.id),
                 ts=viewstamp.ts,
                 rtype=type(record).__name__,
@@ -502,8 +417,6 @@ class Cohort(Actor):
     # ------------------------------------------------------------------
 
     def _handle_buffer_msg(self, msg: m.BufferMsg) -> None:
-        if self.is_witness:
-            return  # witnesses hold no event buffer (repro.scale)
         if self.status is Status.UNDERLING:
             self.view_change.on_buffer_while_underling(msg)
             return
@@ -511,21 +424,9 @@ class Cohort(Actor):
             return
         if msg.viewid != self.cur_viewid or self.is_primary:
             return  # stale primary's traffic, or ours echoed back
-        if (
-            self.config.batch.enabled
-            and self.config.batch.piggyback_liveness
-            and self.cur_view.primary in self.last_heard
-        ):
-            # Buffer traffic from the primary is proof of life (batched
-            # mode stamps sent_at, so the RTT estimator gets a sample too).
-            self.last_heard[self.cur_view.primary] = self.sim.now
-            self.detect.heard(self.cur_view.primary, sent_at=msg.sent_at)
         self._apply_buffer_records(msg.records)
-        if self.reads is not None and self.applied_ts >= msg.primary_ts:
-            # Caught up to the primary's high-water mark as of this send:
-            # the applied prefix is fresh (modulo one network delay, which
-            # the staleness bound's documentation accounts for).
-            self.reads.mark_fresh()
+        for plane in self.planes:
+            plane.on_receive(msg)
         self._ack_buffer()
 
     def _apply_buffer_records(self, records) -> None:
@@ -539,11 +440,8 @@ class Cohort(Actor):
             self.history.advance(self.cur_viewid, ts)
             self._record_bookkeeping(viewstamp, record, at_backup=True)
             if self.tracer is not None:
-                self.tracer.emit(
+                self.emit(
                     "record_added",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
                     viewid=str(self.cur_viewid),
                     ts=ts,
                     rtype=type(record).__name__,
@@ -553,149 +451,29 @@ class Cohort(Actor):
                 self.stable.write_immediate("gstate", self._gstate_snapshot())
 
     def _ack_buffer(self) -> None:
-        """Acknowledge applied records; coalesced in batched mode.
-
-        Unbatched, every BufferMsg is acked individually (the paper's
-        implicit scheme).  Batched, acks are cumulative anyway, so one ack
-        per coalescing tick answers every BufferMsg applied during it.
-        """
-        batch = self.config.batch
-        if not batch.enabled or batch.flush_interval <= 0:
-            self._send_ack_now()
-            return
-        self._acks_pending += 1
-        if self._ack_timer_armed:
-            return
-        self._ack_timer_armed = True
-        epoch = self._epoch
-        viewid = self.cur_viewid
-
-        def fire() -> None:
-            self._ack_timer_armed = False
-            coalesced, self._acks_pending = self._acks_pending, 0
-            if (
-                self._epoch != epoch
-                or self.status is not Status.ACTIVE
-                or self.cur_viewid != viewid
-                or self.is_primary
-            ):
+        """Acknowledge applied records: one cumulative ack per buffer
+        message (the paper's implicit scheme), unless a plane defers it."""
+        for plane in self.planes:
+            if plane.defer_ack():
                 return
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "ack_coalesce",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    coalesced=coalesced,
-                    acked_ts=self.applied_ts,
-                )
-            self._send_ack_now()
+        self.send_ack()
 
-        self.set_timer(batch.flush_interval, fire)
-
-    def _send_ack_now(self) -> None:
-        batch = self.config.batch
-        dest = self.cur_view.primary
-        agg: Tuple[Tuple[int, int], ...] = ()
-        if self.scale is not None and self.scale.ack_tree:
-            dest, agg = self._ack_tree_route()
-        sent_at = None
-        if batch.enabled and batch.piggyback_liveness:
-            sent_at = self.sim.now
-            self._last_liveness_sent[dest] = self.sim.now
-        lease_until = None
-        if (
-            self.reads is not None
-            and self.status is Status.ACTIVE
-            and dest == self.cur_view.primary
-        ):
-            # Every ack renews the read lease; under steady buffer traffic
-            # the explicit heartbeat grants are pure backup.  (Tree-routed
-            # acks skip the grant: the primary would never see it.)
-            lease_until = self.reads.make_promise(dest)
-        self.send_mid(
-            dest,
-            m.BufferAckMsg(
-                viewid=self.cur_viewid,
-                acked_ts=self.applied_ts,
-                mid=self.mymid,
-                sent_at=sent_at,
-                lease_until=lease_until,
-                agg=agg,
-            ),
+    def send_ack(self) -> None:
+        """Send the cumulative ack of our applied prefix to the primary."""
+        ack = m.BufferAckMsg(
+            viewid=self.cur_viewid, acked_ts=self.applied_ts, mid=self.mymid
         )
+        dest = self.cur_view.primary
+        for plane in self.planes:
+            dest = plane.on_send(dest, ack)
+        self.send_mid(dest, ack)
 
-    # -- ack trees (repro.scale) ---------------------------------------------
-
-    def _ack_tree_for_view(self):
-        """The fan-in tree for the current view, cached per view."""
-        key = (self.cur_viewid, self.cur_view.backups)
-        if self._ack_tree_key != key:
-            from repro.scale import AckTree
-
-            self._ack_tree = AckTree(
-                self.cur_view.primary,
-                self._storage_backups(self.cur_view.backups),
-                self.scale.ack_fanout,
-            )
-            self._ack_tree_key = key
-        return self._ack_tree
-
-    def _ack_tree_route(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-        """Destination and aggregated (mid, acked_ts) pairs for our ack."""
-        tree = self._ack_tree_for_view()
-        pairs = {self.mymid: self.applied_ts}
-        if self._ack_children_viewid == self.cur_viewid:
-            for mid, ts in self._ack_children.items():
-                if ts > pairs.get(mid, -1):
-                    pairs[mid] = ts
-        parent = tree.parent(self.mymid)
-        if parent != self.cur_view.primary and self._is_suspect(parent):
-            # A dead interior node must not orphan its subtree: bypass it.
-            parent = self.cur_view.primary
-        return parent, tuple(sorted(pairs.items()))
-
-    def _on_child_ack(self, msg: m.BufferAckMsg) -> None:
-        """Ack-tree interior node: fold a child's (aggregated) ack into ours
-        and forward the merged subtree upward after ``ack_delay``."""
-        if self.cur_view is None:
-            return
-        if self._ack_children_viewid != self.cur_viewid:
-            self._ack_children = {}
-            self._ack_children_viewid = self.cur_viewid
-        pairs = msg.agg if msg.agg else ((msg.mid, msg.acked_ts),)
-        for mid, ts in pairs:
-            if mid == self.mymid:
-                continue
-            if ts > self._ack_children.get(mid, -1):
-                self._ack_children[mid] = ts
-        if self._ack_fwd_armed:
-            return
-        self._ack_fwd_armed = True
-        epoch = self._epoch
-        viewid = self.cur_viewid
-
-        def forward() -> None:
-            self._ack_fwd_armed = False
-            if (
-                self._epoch != epoch
-                or self.status is not Status.ACTIVE
-                or self.cur_viewid != viewid
-                or self.is_primary
-            ):
-                return
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "ack_tree",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    children=len(self._ack_children),
-                    acked_ts=self.applied_ts,
-                )
-            self._send_ack_now()
-
-        self.set_timer(self.scale.ack_delay, forward)
+    def _handle_buffer_ack(self, msg: m.BufferAckMsg) -> None:
+        consumed = False
+        for plane in self.planes:
+            consumed = plane.on_receive(msg) or consumed
+        if not consumed and self.is_active_primary and self.buffer is not None:
+            self.buffer.on_ack(msg)
 
     # ------------------------------------------------------------------
     # queries (section 3.4)
@@ -763,127 +541,31 @@ class Cohort(Actor):
         )
 
     # ------------------------------------------------------------------
-    # read serving path (repro.reads; beyond the paper)
+    # reads outside the call path (beyond the paper)
     # ------------------------------------------------------------------
 
-    def _emit_read_event(self, kind: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                kind,
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                **data,
-            )
-
-    def _note_lease_grant(self, mid: int, until: float) -> None:
-        """Primary: a grant arrived piggybacked on ack/heartbeat traffic."""
-        reads = self.reads
-        reads.record_grant(mid, until)
-        if not reads.was_valid and reads.lease_valid(self.cur_view):
-            reads.was_valid = True
-            self._emit_read_event(
-                "lease_grant",
-                viewid=str(self.cur_viewid),
-                until=reads.lease_until(self.cur_view),
-            )
-
-    def _note_lease_lapse(self, reason: str) -> None:
-        """Primary-side lease validity ended (expiry or stepping down)."""
-        reads = self.reads
-        if reads is not None and reads.was_valid:
-            self._emit_read_event(
-                "lease_expire", viewid=str(self.cur_viewid), reason=reason
-            )
-        if reads is not None:
-            reads.reset_grants()
-
     def _handle_read(self, msg: m.ReadMsg) -> None:
-        def reject(reason: str, **extra) -> None:
-            viewid, view = (None, None)
-            if self.status is Status.ACTIVE and self.up_to_date:
-                viewid, view = self.cur_viewid, self.cur_view
-            self.send(
-                msg.reply_to,
-                m.ReadRejectMsg(
-                    request_id=msg.request_id,
-                    reason=reason,
-                    groupid=self.mygroupid,
-                    viewid=viewid,
-                    view=view,
-                    **extra,
-                ),
-            )
+        """Every ReadMsg lands here: the paper serves reads only as
+        transactions, so without a plane to serve them they are refused."""
+        if self.read_plane is None:
+            self.reject_read(msg, "reads_disabled")
+        else:
+            self.read_plane.serve(msg)
 
-        reads = self.reads
-        if reads is None:
-            reject("reads_disabled")
-            return
-        if self.status is not Status.ACTIVE or not self.up_to_date:
-            reject("not_active")
-            return
-        if self.is_witness:
-            # Witnesses hold no object state to serve (repro.scale).
-            reject("not_active")
-            return
-        if self.is_primary:
-            if not reads.lease_valid(self.cur_view):
-                if reads.was_valid:
-                    reads.was_valid = False
-                    self._emit_read_event(
-                        "lease_expire", viewid=str(self.cur_viewid), reason="expired"
-                    )
-                reject("no_lease")
-                return
-            # Linearizable local read: the lease guarantees no other
-            # primary can have committed a newer value (docs/READS.md).
-            obj = self.store.get(msg.uid) if msg.uid in self.store else None
-            ts = self.buffer.timestamp if self.buffer is not None else 0
-            self._emit_read_event(
-                "lease_read", viewid=str(self.cur_viewid), uid=msg.uid
-            )
-            self.metrics.incr(f"lease_reads:{self.mygroupid}")
-            self.send(
-                msg.reply_to,
-                m.ReadReplyMsg(
-                    request_id=msg.request_id,
-                    uid=msg.uid,
-                    value=obj.base if obj is not None else None,
-                    viewstamp=Viewstamp(self.cur_viewid, ts),
-                    mode="lease",
-                    staleness=0.0,
-                    groupid=self.mygroupid,
-                ),
-            )
-            return
-        if not reads.cfg.backup_reads:
-            reject("not_active")  # carries view info: driver redirects
-            return
-        staleness = reads.staleness()
-        bound = msg.max_staleness
-        if bound is None:
-            bound = reads.cfg.default_max_staleness
-        if staleness > bound:
-            reject("too_stale", staleness=staleness)
-            return
-        obj = self.store.get(msg.uid) if msg.uid in self.store else None
-        self._emit_read_event(
-            "stale_read",
-            viewid=str(self.cur_viewid),
-            uid=msg.uid,
-            staleness=staleness,
-        )
-        self.metrics.incr(f"backup_reads:{self.mygroupid}")
+    def reject_read(self, msg: m.ReadMsg, reason: str, **extra) -> None:
+        """Refuse a read, with current view info if we know it."""
+        viewid, view = (None, None)
+        if self.status is Status.ACTIVE and self.up_to_date:
+            viewid, view = self.cur_viewid, self.cur_view
         self.send(
             msg.reply_to,
-            m.ReadReplyMsg(
+            m.ReadRejectMsg(
                 request_id=msg.request_id,
-                uid=msg.uid,
-                value=obj.base if obj is not None else None,
-                viewstamp=Viewstamp(self.cur_viewid, self.applied_ts),
-                mode="backup",
-                staleness=staleness,
+                reason=reason,
                 groupid=self.mygroupid,
+                viewid=viewid,
+                view=view,
+                **extra,
             ),
         )
 
@@ -896,146 +578,27 @@ class Cohort(Actor):
         self.set_timer(self.config.im_alive_interval * (0.5 + jitter), self._heartbeat)
 
     def _heartbeat(self) -> None:
-        batch = self.config.batch
-        suppress = batch.enabled and batch.piggyback_liveness
-        evidence: Tuple[Tuple[int, float], ...] = ()
-        if self._gossip_rng is not None:
-            # Gossip mode (repro.scale): beacon a seeded-random fan-out of
-            # peers, carrying recent liveness evidence; the epidemic relay
-            # replaces the all-peers broadcast.
-            pairs = self._gossip_pairs()
-            evidence = self._gossip_evidence()
-            if evidence and self.tracer is not None:
-                self.tracer.emit(
-                    "gossip_relay",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    targets=sorted(peer for peer, _addr in pairs),
-                    evidence=len(evidence),
-                )
-        else:
-            pairs = self.configuration
-        for peer, address in pairs:
-            if peer == self.mymid:
-                continue
-            if suppress:
-                last = self._last_liveness_sent.get(peer)
-                if (
-                    last is not None
-                    and self.sim.now - last < 0.5 * self.config.im_alive_interval
-                ):
-                    # Buffer traffic to this peer recently carried sent_at;
-                    # the explicit heartbeat would be redundant.
-                    continue
-            lease_until = None
-            primary_ts = None
-            if self.reads is not None and self.status is Status.ACTIVE:
-                if self.is_primary:
-                    # Stamp the buffer's high-water mark so idle backups can
-                    # confirm their applied prefix is current (freshness).
-                    if self.buffer is not None:
-                        primary_ts = self.buffer.timestamp
-                elif peer == self.cur_view.primary:
-                    # Grant/renew the read lease to our primary: the beacon
-                    # doubles as lease traffic (no extra messages).
-                    lease_until = self.reads.make_promise(peer)
-            self.send(
-                address,
-                m.ImAliveMsg(
-                    mid=self.mymid,
-                    viewid=self.cur_viewid,
-                    sent_at=self.sim.now,
-                    lease_until=lease_until,
-                    primary_ts=primary_ts,
-                    evidence=evidence,
-                ),
+        targets = [pair for pair in self.configuration if pair[0] != self.mymid]
+        for plane in self.planes:
+            targets = plane.beacon_targets(targets)
+        for peer, address in targets:
+            beacon = m.ImAliveMsg(
+                mid=self.mymid, viewid=self.cur_viewid, sent_at=self.sim.now
             )
-        if self.is_active_primary and self._witness_install_pending:
-            self._resend_witness_installs()
+            for plane in self.planes:
+                plane.on_send(peer, beacon)
+            self.send(address, beacon)
+        for plane in self.planes:
+            plane.on_heartbeat()
         if self.status is Status.ACTIVE:
             self._liveness_sweep()
         self.set_timer(self.config.im_alive_interval, self._heartbeat)
 
-    def _gossip_pairs(self):
-        """The (peer, address) fan-out this gossip round beacons."""
-        scale = self.scale
-        peers = [pair for pair in self.configuration if pair[0] != self.mymid]
-        k = min(scale.gossip_fanout, len(peers))
-        if k >= len(peers):
-            return peers
-        chosen = self._gossip_rng.sample(peers, k)
-        if (
-            self.reads is not None
-            and self.status is Status.ACTIVE
-            and self.cur_view is not None
-            and not self.is_primary
-        ):
-            primary = self.cur_view.primary
-            if all(peer != primary for peer, _addr in chosen):
-                # Lease grants ride the beacon: the primary must keep
-                # hearing us directly even on rounds the epidemic fan-out
-                # happens to miss it.
-                chosen.append((primary, self.peer_address(primary)))
-        return chosen
-
-    def _gossip_evidence(self) -> Tuple[Tuple[int, float], ...]:
-        """Fresh (mid, heard_at) liveness evidence to relay this round."""
-        horizon = (
-            self.scale.evidence_horizon_intervals * self.config.im_alive_interval
-        )
-        cutoff = self.sim.now - horizon
-        evidence = []
-        for peer, _addr in self.configuration:
-            if peer == self.mymid:
-                continue
-            heard = self.detect.last_heard(peer)
-            if heard > 0.0 and heard >= cutoff:
-                evidence.append((peer, heard))
-        return tuple(evidence)
-
-    def _resend_witness_installs(self) -> None:
-        """Retransmit unconfirmed witness view installs (loss recovery)."""
-        pending = [
-            peer
-            for peer in sorted(self._witness_install_pending)
-            if peer in self.cur_view
-        ]
-        self._witness_install_pending = set(pending)
-        for peer in pending:
-            self.send_mid(
-                peer,
-                m.WitnessInstallMsg(viewid=self.cur_viewid, view=self.cur_view),
-            )
-
     def _handle_im_alive(self, msg: m.ImAliveMsg) -> None:
-        previously_silent = self._is_suspect(msg.mid)
-        self.last_heard[msg.mid] = self.sim.now
+        previously_silent = self.detect.is_suspect(msg.mid)
         self.detect.heard(msg.mid, sent_at=msg.sent_at)
-        if msg.evidence:
-            # Gossip (repro.scale): relayed liveness evidence.  Relay hops
-            # are excluded from the RTT estimator by design; the interval
-            # EWMA is fed origin-time deltas (see heard_relayed).
-            for peer, heard_at in msg.evidence:
-                if peer == self.mymid or peer == msg.mid:
-                    continue
-                self.detect.heard_relayed(peer, heard_at)
-                if heard_at > self.last_heard.get(peer, 0.0):
-                    self.last_heard[peer] = heard_at
-        if self.reads is not None and msg.viewid == self.cur_viewid:
-            if msg.lease_until is not None and self.is_active_primary:
-                self._note_lease_grant(msg.mid, msg.lease_until)
-            if (
-                msg.primary_ts is not None
-                and self.status is Status.ACTIVE
-                and not self.is_primary
-                and self.cur_view is not None
-                and msg.mid == self.cur_view.primary
-                and self.applied_ts >= msg.primary_ts
-            ):
-                # Our applied prefix matches the primary's buffer high-water
-                # mark as of the beacon: the prefix is fresh now.
-                self.reads.mark_fresh()
+        for plane in self.planes:
+            plane.on_receive(msg)
         if (
             self.status is Status.ACTIVE
             and previously_silent
@@ -1046,9 +609,6 @@ class Cohort(Actor):
             # that it could not communicate with previously").  The sweep
             # prefers a unilateral re-add when that is enabled.
             self._liveness_sweep()
-
-    def _is_suspect(self, mid: int) -> bool:
-        return self.detect.is_suspect(mid)
 
     def _on_suspicion_transition(self, mid: int, suspected: bool) -> None:
         """The failure detector changed its mind about a peer."""
@@ -1065,11 +625,11 @@ class Cohort(Actor):
     def _liveness_sweep(self) -> None:
         view_suspects = [
             peer for peer in self.cur_view.members
-            if peer != self.mymid and self._is_suspect(peer)
+            if peer != self.mymid and self.detect.is_suspect(peer)
         ]
         outside_live = [
             peer for peer, _addr in self.configuration
-            if peer not in self.cur_view and not self._is_suspect(peer)
+            if peer not in self.cur_view and not self.detect.is_suspect(peer)
         ]
         if not view_suspects and not outside_live:
             self._change_pending_since = None
@@ -1094,7 +654,7 @@ class Cohort(Actor):
             higher = [
                 peer for peer, _addr in self.configuration if peer < self.mymid
             ]
-            deferred = any(not self._is_suspect(peer) for peer in higher)
+            deferred = any(not self.detect.is_suspect(peer) for peer in higher)
             waited = now - self._change_pending_since
             if deferred and waited < 2.5 * self.config.im_alive_interval:
                 return
@@ -1123,7 +683,7 @@ class Cohort(Actor):
             return True  # only the primary is suspect of itself; nothing to do
         edited = tuple(sorted(new_backups))
         self.add_record(ViewEdit(backups=edited))
-        self.buffer.set_backups(self._storage_backups(edited))
+        self.buffer.set_backups(self.storage_backups(edited))
         self.metrics.incr("unilateral_view_edits")
         self.buffer.flush()
         return True
@@ -1135,7 +695,8 @@ class Cohort(Actor):
     def leave_active(self) -> None:
         """Stop transaction processing; abandon the buffer and calls."""
         self._epoch += 1
-        self._note_lease_lapse("left_active")
+        for plane in self.planes:
+            plane.on_leave_active()
         if self.buffer is not None:
             self.buffer.close()
         self.caller.abandon_all()
@@ -1144,29 +705,15 @@ class Cohort(Actor):
         self.coordinator_role.on_leave_active()
 
     def _buffer_send(self, mid: int, message) -> None:
-        """Buffer transmission hook: notes liveness-carrying sends."""
-        if self.config.batch.enabled and self.config.batch.piggyback_liveness:
-            self._last_liveness_sent[mid] = self.sim.now
+        for plane in self.planes:
+            mid = plane.on_send(mid, message)
         self.send_mid(mid, message)
 
     def _open_buffer(self) -> None:
         batch = self.config.batch
-        trace = None
-        if self.tracer is not None and batch.enabled:
-            tracer = self.tracer
-
-            def trace(kind: str, **data) -> None:
-                tracer.emit(
-                    kind,
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    **data,
-                )
-
         self.buffer = CommunicationBuffer(
             viewid=self.cur_viewid,
-            backups=self._storage_backups(self.cur_view.backups),
+            backups=self.storage_backups(self.cur_view.backups),
             configuration_size=self.config_size,
             send=self._buffer_send,
             set_timer=self.set_timer,
@@ -1178,7 +725,7 @@ class Cohort(Actor):
             flush_delay=batch.flush_interval,
             pipeline_depth=batch.pipeline_depth,
             clock=lambda: self.sim.now,
-            trace=trace,
+            trace=self.emit if self.tracer is not None else None,
         )
 
     def _start_flush_loop(self) -> None:
@@ -1203,23 +750,14 @@ class Cohort(Actor):
         self.status = Status.ACTIVE
         self.up_to_date = True
         self.applied_ts = 0
-        if self.reads is not None:
-            # A new primary starts leaseless: grants must come from the new
-            # view's backups.  Its own state is trivially fresh.
-            self.reads.reset_grants()
-            self.reads.mark_fresh()
-        if self.tracer is not None:
-            # Emitted before the newview record is added so the
-            # single-primary monitor sees the activation even if the
-            # history rejects the record (the very bug it exists to catch).
-            self.tracer.emit(
-                "primary_activated",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewid),
-                members=sorted(view.members),
-            )
+        # Emitted before the newview record is added so the single-primary
+        # monitor sees the activation even if the history rejects the
+        # record (the very bug it exists to catch).
+        self.emit(
+            "primary_activated",
+            viewid=str(viewid),
+            members=sorted(view.members),
+        )
         self._open_buffer()
         newview = NewView(
             view=view,
@@ -1239,30 +777,30 @@ class Cohort(Actor):
         self.client_role.on_become_primary()
         self._start_flush_loop()
         self.buffer.flush()
-        if self._witnesses:
-            # Witnesses receive no buffer traffic, so the formed view is
-            # announced to them explicitly; retransmitted from the
-            # heartbeat loop until each confirms (repro.scale).
-            self._witness_install_pending = {
-                peer
-                for peer in view.members
-                if peer != self.mymid and peer in self._witnesses
-            }
-            for peer in sorted(self._witness_install_pending):
-                self.send_mid(
-                    peer, m.WitnessInstallMsg(viewid=viewid, view=view)
-                )
+        for plane in self.planes:
+            plane.on_view_installed()
         self.metrics.incr(f"views_started:{self.mygroupid}")
         self.runtime.ledger.record_view_change(self.mygroupid, viewid, self.mymid)
         self.sim.trace(
             "view_started", group=self.mygroupid, viewid=str(viewid), primary=self.mymid
         )
 
-    def install_newview(self, viewid: ViewId, record: NewView) -> None:
-        """Underling: initialize state from a newview record (Figure 5)."""
+    def join_view(self, viewid: ViewId, view: View) -> None:
+        """Underling -> active backup of a formed view (Figure 5).  The
+        view's state arrives separately (:meth:`install_newview`)."""
         self._epoch += 1
         self.cur_viewid = viewid
-        self.cur_view = record.view
+        self.cur_view = view
+        self.applied_ts = 0
+        self.up_to_date = True
+        self.status = Status.ACTIVE
+        self.buffer = None
+        for plane in self.planes:
+            plane.on_view_installed()
+
+    def install_newview(self, viewid: ViewId, record: NewView) -> None:
+        """Underling: initialize state from a newview record (Figure 5)."""
+        self.join_view(viewid, record.view)
         self.history = History(record.history_entries)
         self.history.advance(viewid, 1)  # the newview record itself is ts=1
         self.applied_ts = 1
@@ -1273,49 +811,8 @@ class Cohort(Actor):
             self.pending.setdefault(call_record.aid, {})[viewstamp] = call_record
         self.outcomes = dict(record.outcomes)
         self.committing = dict(record.committing)
-        self.up_to_date = True
-        self.status = Status.ACTIVE
-        self.buffer = None
-        if self.reads is not None:
-            # The newview record is a snapshot of the primary's state: our
-            # prefix is fresh as of installation.
-            self.reads.reset_grants()
-            self.reads.mark_fresh()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "newview_installed",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewid),
-            )
+        self.emit("newview_installed", viewid=str(viewid))
         self._ack_buffer()
-        self.metrics.incr(f"views_joined:{self.mygroupid}")
-
-    def install_as_witness(self, viewid: ViewId, view: View) -> None:
-        """Witness: adopt a formed view (repro.scale).
-
-        There is no state to install -- a witness holds no event buffer and
-        applies no records -- so adoption is just the view pointer flip the
-        storage path performs as part of ``install_newview``."""
-        self._epoch += 1
-        self.cur_viewid = viewid
-        self.cur_view = view
-        self.up_to_date = True
-        self.status = Status.ACTIVE
-        self.buffer = None
-        self.applied_ts = 0
-        if self.reads is not None:
-            self.reads.reset_grants()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "newview_installed",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewid),
-                witness=True,
-            )
         self.metrics.incr(f"views_joined:{self.mygroupid}")
 
     def _rematerialize_locks(self) -> None:
@@ -1331,8 +828,6 @@ class Cohort(Actor):
                 for effect in self.pending[aid][viewstamp].effects:
                     info = self.lockmgr.materialize(effect.uid, aid, effect.kind)
                     for subaction, value in effect.writes:
-                        from repro.txn.objects import TentativeWrite
-
                         info.writes.append(
                             TentativeWrite(subaction=subaction, value=value)
                         )
@@ -1359,16 +854,11 @@ class Cohort(Actor):
         self._epoch += 1
         self.status = Status.UNDERLING  # placeholder; node is down anyway
         self.up_to_date = False
-        if self.reads is not None:
-            self.reads.reset_grants()
         if self.buffer is not None:
             self.buffer.close()
             self.buffer = None
-        # Volatile scale state dies with the process (repro.scale).
-        self._ack_children = {}
-        self._ack_children_viewid = None
-        self._ack_fwd_armed = False
-        self._witness_install_pending = set()
+        for plane in self.planes:
+            plane.on_crash()
 
     def on_recover(self) -> None:
         """Section 4: initialize up_to_date false, max_viewid from stable
@@ -1394,19 +884,10 @@ class Cohort(Actor):
         # anything older is aged out: after a long downtime a pre-crash
         # heartbeat (and the loss-stretched cadence learned from it) must
         # not make this cohort treat a dead peer as live.
-        cutoff = self.sim.now - self.config.suspect_timeout()
-        self.detect.age_out(cutoff)
-        for peer, heard_at in self.last_heard.items():
-            if 0.0 < heard_at < cutoff:
-                self.last_heard[peer] = 0.0
+        self.detect.age_out(self.sim.now - self.config.suspect_timeout())
         self.rtt.reset()
-        if self.reads is not None:
-            # Promise state was volatile: report a conservative full-duration
-            # residue at the next view change (a promise made just before
-            # the crash could still be outstanding even if recovery was
-            # quick).  Grants held as primary are simply gone.
-            self.reads.reset_grants()
-            self.reads.promise_residue()
+        for plane in self.planes:
+            plane.on_recover()
         self.server_role.reset()
         self.client_role.reset()
         self.coordinator_role.reset()

@@ -9,10 +9,11 @@ of cohorts per group, on the order of three or five."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core.cohort import Cohort, Status
+from repro.core.plane import Plane
 from repro.core.view import View, majority
 from repro.core.viewstamp import ViewId
 from repro.sim.node import Node
@@ -29,7 +30,9 @@ class ModuleGroup:
         spec,
         nodes: List[Node],
         config: Optional[ProtocolConfig] = None,
+        planes: Optional[Callable[[Cohort], Sequence[Plane]]] = None,
     ):
+        """*planes* builds each cohort's planes (None = the paper's cohort)."""
         if not nodes:
             raise ValueError("a group needs at least one cohort")
         self.runtime = runtime
@@ -40,14 +43,6 @@ class ModuleGroup:
             (mid, f"{groupid}/{mid}") for mid in range(len(nodes))
         )
         runtime.location.register(groupid, self.configuration)
-
-        self.witness_mids: frozenset = frozenset()
-        scale = self.config.scale
-        if scale is not None and scale.witnesses > 0:
-            from repro.scale import validate_witnesses, witness_mids
-
-            validate_witnesses(len(nodes), scale.witnesses)
-            self.witness_mids = witness_mids(len(nodes), scale.witnesses)
 
         initial_viewid = ViewId(1, 0)
         initial_view = View(primary=0, backups=tuple(range(1, len(nodes))))
@@ -63,6 +58,7 @@ class ModuleGroup:
                 config=self.config,
                 initial_viewid=initial_viewid,
                 initial_view=initial_view,
+                planes=planes,
             )
 
     # -- structure ------------------------------------------------------------
@@ -70,6 +66,11 @@ class ModuleGroup:
     @property
     def size(self) -> int:
         return len(self.cohorts)
+
+    @property
+    def witness_mids(self) -> frozenset:
+        """Bufferless voting members (repro.scale), shared by every cohort."""
+        return self.cohorts[0].witness_mids
 
     def cohort(self, mid: int) -> Cohort:
         return self.cohorts[mid]

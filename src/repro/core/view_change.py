@@ -107,13 +107,7 @@ class ViewChangeController:
         cohort.runtime.ledger.record_view_change_started(
             cohort.mygroupid, cohort.sim.now
         )
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "view_manager",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-            )
+        cohort.emit("view_manager")
         self._make_invitations()
 
     def _make_invitations(self) -> None:
@@ -164,7 +158,7 @@ class ViewChangeController:
         for peer, address in cohort.configuration:
             if peer == cohort.mymid or peer in self._responses:
                 continue
-            if cohort._is_suspect(peer):
+            if cohort.detect.is_suspect(peer):
                 continue  # looks dead; formation will not wait for it either
             cohort.send(
                 address,
@@ -178,25 +172,18 @@ class ViewChangeController:
     def _own_acceptance(self) -> m.AcceptMsg:
         cohort = self.cohort
         lease_promises = ()
-        if cohort.reads is not None:
+        if cohort.read_plane is not None:
             # Report outstanding read-lease promises so the formation can
             # defer the new primary past any lease an old one could still
             # be serving under (docs/READS.md).
-            lease_promises = cohort.reads.outstanding_promises()
+            lease_promises = cohort.read_plane.outstanding_promises()
         if cohort.is_witness:
             # Witnesses vote -- the acceptance counts toward the majority
             # and they join the formed view -- but carry no viewstamp
             # evidence: they hold no event buffer, so the formation
             # conditions must be met by storage members alone
             # (repro.scale, docs/SCALE.md).
-            if cohort.tracer is not None:
-                cohort.tracer.emit(
-                    "witness_vote",
-                    node=cohort.node.node_id,
-                    group=cohort.mygroupid,
-                    mid=cohort.mymid,
-                    viewid=str(cohort.max_viewid),
-                )
+            cohort.emit("witness_vote", viewid=str(cohort.max_viewid))
             return m.AcceptMsg(
                 viewid=cohort.max_viewid,
                 mid=cohort.mymid,
@@ -255,15 +242,7 @@ class ViewChangeController:
         self._cancel_timers()
         self._installing = False
         cohort.status = Status.UNDERLING
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "invite_accepted",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-                viewid=str(viewid),
-                manager=manager_mid,
-            )
+        cohort.emit("invite_accepted", viewid=str(viewid), manager=manager_mid)
         cohort.send_mid(manager_mid, self._own_acceptance())
         self._arm_await_timer()
 
@@ -305,7 +284,7 @@ class ViewChangeController:
         expected = {
             mid
             for mid, _addr in cohort.configuration
-            if mid == cohort.mymid or not cohort._is_suspect(mid)
+            if mid == cohort.mymid or not cohort.detect.is_suspect(mid)
         }
         if set(self._responses) >= expected:
             self._attempt_formation()
@@ -339,24 +318,18 @@ class ViewChangeController:
             self._retry_timer = cohort.set_timer(delay, self._make_invitations)
             return
         self._formed = True
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "view_formed",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-                viewid=str(cohort.max_viewid),
-                primary=view.primary,
-                members=sorted(view.members),
-                config_size=cohort.config_size,
-            )
+        cohort.emit(
+            "view_formed",
+            viewid=str(cohort.max_viewid),
+            primary=view.primary,
+            members=sorted(view.members),
+            config_size=cohort.config_size,
+        )
         if self._retry_backoff is not None and self._retry_backoff.reset():
             cohort.metrics.incr(f"backoff_resets:{cohort.mygroupid}")
         lease_bound = 0.0
-        if cohort.reads is not None:
-            from repro.reads.lease import formation_lease_bound
-
-            lease_bound = formation_lease_bound(
+        if cohort.read_plane is not None:
+            lease_bound = cohort.read_plane.lease_bound(
                 self._responses.values(), view.primary
             )
         if view.primary == cohort.mymid:
@@ -386,15 +359,14 @@ class ViewChangeController:
             return None
         normal_vs: Viewstamp = max(a.viewstamp for a in normals)
         normal_viewid = normal_vs.id
-        cfg_witnesses = getattr(cohort, "_witnesses", frozenset())
-        if cfg_witnesses:
+        if cohort.witness_mids:
             # With witnesses configured, force quorums are all-storage
             # (``majority(n)`` buffer-holding members counting the
             # primary), so the paper's condition 1 relaxes to *coverage*:
             # enough storage members accepted normally that they intersect
             # every possible force quorum of every view, hence no forced
             # event can be missing from their joint state.
-            storage = cohort.config_size - len(cfg_witnesses)
+            storage = cohort.config_size - len(cohort.witness_mids)
             covered = len(normals) >= storage - majority(cohort.config_size) + 1
             if not crashed:
                 if not covered:
@@ -454,8 +426,8 @@ class ViewChangeController:
             return False  # no membership info / condition 3 territory
         # Witnesses never ack buffer records, so force quorums were drawn
         # from the storage backups only (repro.scale).
-        cfg_witnesses = getattr(self.cohort, "_witnesses", frozenset())
-        storage_backups = [b for b in old_view.backups if b not in cfg_witnesses]
+        witnesses = self.cohort.witness_mids
+        storage_backups = [b for b in old_view.backups if b not in witnesses]
         old_backups = [a for a in members if a.mid in storage_backups]
         needed = len(storage_backups) - sub_majority(self.cohort.config_size) + 1
         return len(old_backups) >= max(needed, 1)
@@ -518,15 +490,7 @@ class ViewChangeController:
             if lease_bound > now:
                 # Grants are valid strictly before their expiry, so waiting
                 # until exactly the bound suffices.
-                if cohort.tracer is not None:
-                    cohort.tracer.emit(
-                        "lease_wait",
-                        node=cohort.node.node_id,
-                        group=cohort.mygroupid,
-                        mid=cohort.mymid,
-                        viewid=str(viewid),
-                        until=lease_bound,
-                    )
+                cohort.emit("lease_wait", viewid=str(viewid), until=lease_bound)
                 cohort.metrics.incr(f"lease_waits:{cohort.mygroupid}")
                 cohort.set_timer(lease_bound - now, activate)
                 return
@@ -546,16 +510,12 @@ class ViewChangeController:
 
         cohort = self.cohort
         cohort.metrics.incr(f"stable_write_failures:{cohort.mygroupid}")
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "stable_write_failed",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-                viewid=str(viewid),
-                key="cur_viewid",
-                error=str(error),
-            )
+        cohort.emit(
+            "stable_write_failed",
+            viewid=str(viewid),
+            key="cur_viewid",
+            error=str(error),
+        )
         if cohort.status is Status.VIEW_MANAGER:
             cohort.metrics.incr(f"view_formations_failed:{cohort.mygroupid}")
             self._formed = False
@@ -651,7 +611,11 @@ class ViewChangeController:
                 self._on_viewid_write_failed(viewid, future.exception())
                 return
             self._cancel_timers()
-            cohort.install_as_witness(viewid, view)
+            # No state to install -- a witness holds no event buffer and
+            # applies no records -- so joining is just the view flip.
+            cohort.join_view(viewid, view)
+            cohort.emit("newview_installed", viewid=str(viewid), witness=True)
+            cohort.metrics.incr(f"views_joined:{cohort.mygroupid}")
             self._ack_witness_install(msg)
 
         write = cohort.stable.write("cur_viewid", viewid)

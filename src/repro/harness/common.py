@@ -14,7 +14,6 @@ from repro.workloads.loadgen import (
     OpenLoopStats,
     run_closed_loop,
     run_open_loop,
-    run_retry_loop,
 )
 
 
@@ -187,7 +186,7 @@ def state_run(
     if fault is not None:
         rt.inject(fault)
     jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    writes = run_retry_loop(rt, driver, "clients", jobs, concurrency=concurrency)
+    writes = run_closed_loop(rt, driver, "clients", jobs, concurrency=concurrency, max_attempts=25)
     read_stats = None
     if reads is not None:
         rate, duration, name = reads

@@ -34,7 +34,7 @@ from repro.config import GeoConfig, ProtocolConfig, ReadConfig
 from repro.geo.topology import Topology, symmetric_topology
 from repro.harness.common import ExperimentResult, build_kv_system
 from repro.sim.process import sleep, spawn
-from repro.workloads.loadgen import run_keyed_loop
+from repro.workloads.loadgen import run_closed_loop
 
 GEO_SEED = 2020
 
@@ -161,7 +161,7 @@ def _commit_latency_cell(
     driver = rt.create_driver("driver", site="dc-a/z1")
     rt.run_for(500.0)
     jobs = make_jobs(seed, txns, cross_ratio=0.25)
-    stats = run_keyed_loop(rt, driver, sharded, jobs, concurrency=concurrency)
+    stats = run_closed_loop(rt, driver, sharded, jobs, concurrency=concurrency)
     rt.run_for(30000.0)
 
     per_program: Dict[str, List[float]] = {"seq_put": [], "transfer": []}

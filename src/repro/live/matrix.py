@@ -23,7 +23,7 @@ from repro.faults.nemesis import Nemesis
 from repro.harness.common import build_kv_system, kv_jobs
 from repro.live.report import StallReport
 from repro.live.specs import spec_catalog
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 
 @dataclasses.dataclass
@@ -180,7 +180,7 @@ def run_cell(
             ("write", ("kv", spec.key(index % spec.n_keys), index))
             for index in range(50_000)
         ]
-        stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
+        stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=4, max_attempts=25)
 
     end = rt.sim.now + duration
     while rt.sim.now < end:

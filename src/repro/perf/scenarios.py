@@ -248,7 +248,7 @@ def _read_throughput(quick: bool):
     actually runs); the cross-config latency ratios land in ``extra``."""
     from repro.config import ProtocolConfig, ReadConfig
     from repro.perf.report import state_digest
-    from repro.workloads.loadgen import run_open_loop, run_retry_loop
+    from repro.workloads.loadgen import run_closed_loop, run_open_loop
 
     txns = 24 if quick else 48
     duration = 600.0 if quick else 1800.0
@@ -263,7 +263,7 @@ def _read_throughput(quick: bool):
         started = time.perf_counter()
         rt.run_for(60.0)
         jobs = [("write", ("kv", spec.key(i), i)) for i in range(txns)]
-        wstats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
+        wstats = run_closed_loop(rt, driver, "clients", jobs, concurrency=4, max_attempts=25)
         rstats = run_open_loop(
             rt, driver,
             key=spec.key, n_keys=txns, duration=duration, rate=0.6,

@@ -23,13 +23,30 @@ backup's applied prefix:
 Nothing here arms timers: validity is evaluated lazily against the
 simulator clock, so a reads-enabled but idle group schedules exactly the
 same events as a reads-disabled one.
+
+Attached to a cohort (:meth:`ReadState.attach`), the state is also the
+cohort's *reads plane* (:mod:`repro.core.plane`): grants ride the acks and
+I'm-alive beacons a backup sends its primary, the primary's beacons carry
+its buffer timestamp for freshness, :meth:`ReadState.serve` answers the
+``ReadMsg`` traffic ``Cohort._handle_read`` hands it, and the view change
+asks it for outstanding promises and the formation bound.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
+from repro.core.cohort import Status
+from repro.core.messages import (
+    BufferAckMsg,
+    BufferMsg,
+    ImAliveMsg,
+    ReadMsg,
+    ReadReplyMsg,
+)
+from repro.core.plane import Plane
 from repro.core.view import majority
+from repro.core.viewstamp import Viewstamp
 
 #: Grantee recorded by a crashed acceptor: its real promises (and their
 #: grantees) died with its volatile state, so it conservatively reports a
@@ -38,10 +55,11 @@ from repro.core.view import majority
 CRASH_GRANTEE = -1
 
 
-class ReadState:
-    """Both sides of the lease protocol plus prefix freshness, per cohort."""
+class ReadState(Plane):
+    """Both sides of the lease protocol plus prefix freshness, per cohort;
+    attached to one, also the cohort's reads plane."""
 
-    def __init__(self, reads_config, config_size: int, clock):
+    def __init__(self, reads_config, config_size: int, clock, cohort=None):
         self.cfg = reads_config
         self.config_size = config_size
         self.clock = clock
@@ -52,8 +70,16 @@ class ReadState:
         #: last instant the applied prefix was known current
         self.prefix_fresh_at: float = clock()
         #: whether the last validity evaluation held (for grant/expire
-        #: trace transitions; updated by callers via note_validity)
+        #: trace transitions)
         self.was_valid = False
+        self.cohort = cohort
+        if cohort is not None:
+            cohort.read_plane = self
+
+    @classmethod
+    def attach(cls, cohort) -> "ReadState":
+        """The reads plane of *cohort*, under its ``ProtocolConfig.reads``."""
+        return cls(cohort.config.reads, cohort.config_size, lambda: cohort.sim.now, cohort)
 
     # -- backup side: making promises ----------------------------------
 
@@ -134,6 +160,157 @@ class ReadState:
 
     def staleness(self) -> float:
         return self.clock() - self.prefix_fresh_at
+
+    # -- the cohort's reads plane ------------------------------------------
+
+    def lease_bound(self, responses: Iterable, chosen_primary: int) -> float:
+        """The activation deferral for a view formed from *responses*."""
+        return formation_lease_bound(responses, chosen_primary)
+
+    def on_send(self, dest: int, msg) -> int:
+        cohort = self.cohort
+        if cohort.status is not Status.ACTIVE:
+            return dest
+        if type(msg) is ImAliveMsg:
+            if cohort.is_primary:
+                # Stamp the buffer's high-water mark so idle backups can
+                # confirm their applied prefix is current (freshness).
+                if cohort.buffer is not None:
+                    msg.primary_ts = cohort.buffer.timestamp
+            elif dest == cohort.cur_view.primary:
+                # Grant/renew the lease to our primary: the beacon doubles
+                # as lease traffic (no extra messages).
+                msg.lease_until = self.make_promise(dest)
+        elif type(msg) is BufferAckMsg and dest == cohort.cur_view.primary:
+            # Every ack renews the lease; under steady buffer traffic the
+            # beacon grants are pure backup.  (Tree-routed acks skip the
+            # grant: the primary would never see it.)
+            msg.lease_until = self.make_promise(dest)
+        return dest
+
+    def on_receive(self, msg) -> bool:
+        cohort = self.cohort
+        if type(msg) is BufferMsg:
+            if cohort.applied_ts >= msg.primary_ts:
+                # Caught up to the primary's high-water mark as of this
+                # send: the applied prefix is fresh (modulo one network
+                # delay, which the staleness bound's documentation covers).
+                self.mark_fresh()
+        elif type(msg) is ImAliveMsg:
+            if msg.viewid != cohort.cur_viewid:
+                return False
+            if msg.lease_until is not None and cohort.is_active_primary:
+                self._note_grant(msg.mid, msg.lease_until)
+            if (
+                msg.primary_ts is not None
+                and cohort.status is Status.ACTIVE
+                and not cohort.is_primary
+                and cohort.cur_view is not None
+                and msg.mid == cohort.cur_view.primary
+                and cohort.applied_ts >= msg.primary_ts
+            ):
+                # Our applied prefix matches the primary's buffer high-water
+                # mark as of the beacon: the prefix is fresh now.
+                self.mark_fresh()
+        elif (
+            type(msg) is BufferAckMsg
+            and msg.lease_until is not None
+            and msg.viewid == cohort.cur_viewid
+            and cohort.is_active_primary
+        ):
+            self._note_grant(msg.mid, msg.lease_until)
+        return False
+
+    def _note_grant(self, mid: int, until: float) -> None:
+        """Primary: a grant arrived piggybacked on ack/beacon traffic."""
+        view = self.cohort.cur_view
+        self.record_grant(mid, until)
+        if not self.was_valid and self.lease_valid(view):
+            self.was_valid = True
+            self.cohort.emit(
+                "lease_grant",
+                viewid=str(self.cohort.cur_viewid),
+                until=self.lease_until(view),
+            )
+
+    def on_view_installed(self) -> None:
+        # A new view starts leaseless: grants must come from its backups.
+        # The installed state is trivially fresh.
+        self.reset_grants()
+        self.mark_fresh()
+
+    def on_leave_active(self) -> None:
+        if self.was_valid:
+            self.cohort.emit(
+                "lease_expire", viewid=str(self.cohort.cur_viewid), reason="left_active"
+            )
+        self.reset_grants()
+
+    def on_crash(self) -> None:
+        self.reset_grants()
+
+    def on_recover(self) -> None:
+        # Promise state was volatile: report a conservative full-duration
+        # residue at the next view change (a promise made just before the
+        # crash could still be outstanding even if recovery was quick).
+        self.promise_residue()
+
+    def serve(self, msg: ReadMsg) -> None:
+        """Answer a read: leased at the primary, stale-bounded at a backup."""
+        cohort = self.cohort
+        if cohort.status is not Status.ACTIVE or not cohort.up_to_date:
+            cohort.reject_read(msg, "not_active")
+            return
+        if cohort.is_witness:
+            # Witnesses hold no object state to serve (repro.scale).
+            cohort.reject_read(msg, "not_active")
+            return
+        viewid = cohort.cur_viewid
+        if cohort.is_primary:
+            if not self.lease_valid(cohort.cur_view):
+                if self.was_valid:
+                    self.was_valid = False
+                    cohort.emit("lease_expire", viewid=str(viewid), reason="expired")
+                cohort.reject_read(msg, "no_lease")
+                return
+            # Linearizable local read: the lease guarantees no other
+            # primary can have committed a newer value (docs/READS.md).
+            obj = cohort.store.get(msg.uid) if msg.uid in cohort.store else None
+            ts = cohort.buffer.timestamp if cohort.buffer is not None else 0
+            cohort.emit("lease_read", viewid=str(viewid), uid=msg.uid)
+            cohort.metrics.incr(f"lease_reads:{cohort.mygroupid}")
+            self._reply(msg, obj, Viewstamp(viewid, ts), "lease", 0.0)
+            return
+        if not self.cfg.backup_reads:
+            cohort.reject_read(msg, "not_active")  # carries view info: redirect
+            return
+        staleness = self.staleness()
+        bound = msg.max_staleness
+        if bound is None:
+            bound = self.cfg.default_max_staleness
+        if staleness > bound:
+            cohort.reject_read(msg, "too_stale", staleness=staleness)
+            return
+        obj = cohort.store.get(msg.uid) if msg.uid in cohort.store else None
+        cohort.emit("stale_read", viewid=str(viewid), uid=msg.uid, staleness=staleness)
+        cohort.metrics.incr(f"backup_reads:{cohort.mygroupid}")
+        self._reply(msg, obj, Viewstamp(viewid, cohort.applied_ts), "backup", staleness)
+
+    def _reply(self, msg: ReadMsg, obj, viewstamp: Viewstamp, mode: str,
+               staleness: float) -> None:
+        cohort = self.cohort
+        cohort.send(
+            msg.reply_to,
+            ReadReplyMsg(
+                request_id=msg.request_id,
+                uid=msg.uid,
+                value=obj.base if obj is not None else None,
+                viewstamp=viewstamp,
+                mode=mode,
+                staleness=staleness,
+                groupid=cohort.mygroupid,
+            ),
+        )
 
 
 def formation_lease_bound(

@@ -26,9 +26,11 @@ point of the public API::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.cohort import Cohort
+    from repro.core.plane import Plane
     from repro.shard.facade import ShardedGroup
 
 from repro.analysis.ledger import TransactionLedger
@@ -175,7 +177,11 @@ class Runtime:
                 nodes = [
                     self.create_node(f"{groupid}-n{i}") for i in range(n_cohorts)
                 ]
-        group = ModuleGroup(self, groupid, spec, nodes, config=config)
+        config = config if config is not None else self.config
+        group = ModuleGroup(
+            self, groupid, spec, nodes, config=config,
+            planes=build_planes(config, len(nodes)),
+        )
         self.groups[groupid] = group
         if self.topology is not None:
             # Geo routing needs to know where each cohort *address* lives.
@@ -334,3 +340,36 @@ class Runtime:
             f"Runtime(now={self.sim.now:.1f}, groups={sorted(self.groups)}, "
             f"nodes={len(self.nodes)})"
         )
+
+
+def build_planes(
+    config: ProtocolConfig, size: int
+) -> Optional[Callable[["Cohort"], Tuple["Plane", ...]]]:
+    """The planes *config* arms for a *size*-cohort group, as a per-cohort
+    factory (None: the paper's cohort, with nothing attached).
+
+    Attachment order -- scale, batch, reads -- is the order every cohort
+    calls their hooks in (:mod:`repro.core.plane`).  Each package is
+    imported only when its plane is armed.
+    """
+    makers: List[Callable[["Cohort"], "Plane"]] = []
+    scale = config.scale
+    if scale is not None and scale.any_enabled():
+        from repro.scale import validate_witnesses, witness_mids
+        from repro.scale.plane import ScalePlane
+
+        if scale.witnesses > 0:
+            validate_witnesses(size, scale.witnesses)
+        witnesses = witness_mids(size, scale.witnesses)  # once per group
+        makers.append(lambda cohort: ScalePlane(cohort, scale, witnesses))
+    if config.batch.enabled:
+        from repro.core.batch import BatchPlane
+
+        makers.append(lambda cohort: BatchPlane(cohort, config.batch))
+    if config.reads is not None and config.reads.enabled:
+        from repro.reads.lease import ReadState
+
+        makers.append(ReadState.attach)
+    if not makers:
+        return None
+    return lambda cohort: tuple(make(cohort) for make in makers)

@@ -40,7 +40,7 @@ EVENT_KINDS: Dict[str, str] = {
     "partition": "the network split into blocks",
     "heal": "partitions and failed links were repaired",
     "fault": "a FaultController action executed",
-    # replication core (core/cohort.py, core/view_change.py)
+    # replication core (core/cohort.py, core/buffer.py, core/batch.py, core/view_change.py)
     "record_added": "an event record entered a cohort's history",
     "batch_flush": "a batched-mode flush tick shipped coalesced BufferMsgs",
     "ack_coalesce": "a backup sent one cumulative ack covering several BufferMsgs",
@@ -70,7 +70,7 @@ EVENT_KINDS: Dict[str, str] = {
     "shard_route": "a sharded facade routed a request to its owning groups",
     "shard_prepare": "a cross-group prepare went out to one participant",
     "shard_commit": "a cross-group commit point covering many participants",
-    # read serving path (repro.reads, core/cohort.py, core/view_change.py)
+    # read serving path (repro.reads.lease, core/view_change.py)
     "lease_grant": "a primary's read lease became valid (quorum of grants)",
     "lease_expire": "a primary's read lease lapsed or was surrendered",
     "lease_read": "a leased primary served a linearizable local read",
@@ -78,7 +78,7 @@ EVENT_KINDS: Dict[str, str] = {
     "stale_read": "a backup served a stale-bounded read from its prefix",
     # geo routing (repro.geo, driver.py)
     "geo_route": "a sited driver routed a read to its nearest serving replica",
-    # cohort scaling (repro.scale, core/cohort.py, core/view_change.py)
+    # cohort scaling (repro.scale.plane, core/view_change.py)
     "gossip_relay": "a heartbeat carried relayed liveness evidence to gossip peers",
     "ack_tree": "an interior backup forwarded its subtree's aggregated buffer acks",
     "witness_vote": "a witness accepted an invitation without viewstamp evidence",

@@ -1,6 +1,6 @@
 """Closed- and open-loop load generation over workload drivers.
 
-Closed-loop generators (:func:`run_closed_loop` and friends) model a
+The closed-loop generator (:func:`run_closed_loop`) models a
 fixed population of clients that wait for each transaction before
 issuing the next.  The open-loop generator (:func:`run_open_loop`)
 models arrival-rate-driven traffic YCSB-style: Poisson inter-arrivals at
@@ -281,12 +281,21 @@ def run_open_loop(
 
 @dataclasses.dataclass
 class ClosedLoopStats:
-    """Outcome accounting for one closed-loop run."""
+    """Outcome accounting for one closed-loop run.
+
+    ``results`` holds one (program, touched shard groupids, outcome)
+    triple per finished job -- for a plain group target, just that
+    group -- so experiments can ask questions like "did any transaction
+    *not* touching the crashed shard abort?".
+    """
 
     committed: int = 0
     aborted: int = 0
     unknown: int = 0
     latencies: List[float] = dataclasses.field(default_factory=list)
+    results: List[Tuple[str, Tuple[str, ...], str]] = dataclasses.field(
+        default_factory=list
+    )
     started_at: float = 0.0
     finished_at: float = 0.0
 
@@ -323,20 +332,6 @@ class ClosedLoopStats:
             return math.nan
         return self.aborted / self.submitted
 
-
-@dataclasses.dataclass
-class KeyedLoopStats(ClosedLoopStats):
-    """Closed-loop stats plus per-job outcomes with shard attribution.
-
-    ``results`` holds one (program, touched shard groupids, outcome)
-    triple per finished job, so experiments can ask questions like "did
-    any transaction *not* touching the crashed shard abort?".
-    """
-
-    results: List[Tuple[str, Tuple[str, ...], str]] = dataclasses.field(
-        default_factory=list
-    )
-
     def aborted_touching(self, groupid: str) -> int:
         return sum(
             1
@@ -352,124 +347,55 @@ class KeyedLoopStats(ClosedLoopStats):
         )
 
 
-def run_keyed_loop(
-    runtime,
-    driver,
-    sharded,
-    jobs: Iterable[Tuple[str, tuple]],
-    concurrency: int = 1,
-    think_time: float = 0.0,
-    stats: Optional[KeyedLoopStats] = None,
-) -> KeyedLoopStats:
-    """Closed-loop load through a sharded façade's key-addressed routing.
-
-    Like :func:`run_closed_loop`, but each (program, args) job is routed
-    by the façade's shard map via :meth:`Driver.call`, and every
-    outcome is recorded with the shards the job touched.
-    """
-    if stats is None:
-        stats = KeyedLoopStats()
-    stats.started_at = runtime.sim.now
-    job_iter = iter(list(jobs))
-    sim = runtime.sim
-
-    def worker():
-        from repro.sim.process import sleep
-
-        for program, args in job_iter:
-            shards = sharded.touched_shards(program, tuple(args))
-            submitted_at = sim.now
-            outcome, _result = yield driver.call(sharded, program, *args)
-            stats.latencies.append(sim.now - submitted_at)
-            stats.results.append((program, shards, outcome))
-            if outcome == "committed":
-                stats.committed += 1
-            elif outcome == "aborted":
-                stats.aborted += 1
-            else:
-                stats.unknown += 1
-            stats.finished_at = sim.now
-            if think_time > 0:
-                yield sleep(think_time)
-
-    for index in range(concurrency):
-        spawn(sim, worker(), name=f"keyed-loadgen-{index}")
-    return stats
-
-
 def run_closed_loop(
     runtime,
     driver,
-    groupid: str,
+    target,
     jobs: Iterable[Tuple[str, tuple]],
     concurrency: int = 1,
     think_time: float = 0.0,
+    max_attempts: int = 1,
     stats: Optional[ClosedLoopStats] = None,
 ) -> ClosedLoopStats:
-    """Issue *jobs* ((program, args) pairs) through *driver*, closed-loop.
+    """Issue *jobs* ((program, args) pairs) at *target* through *driver*,
+    closed-loop.
 
     Spawns *concurrency* worker processes that each take the next job when
-    their previous transaction resolves.  Returns the stats object, which
-    fills in as the simulation runs (call ``runtime.run_for(...)`` after).
+    their previous transaction resolves (plus *think_time*).  *target* is
+    anything :meth:`Driver.call` accepts: a groupid, or a sharded façade
+    (or its registered name) whose shard map routes each job.
+
+    With ``max_attempts > 1`` a job that does not commit is retried up to
+    that many attempts.  The cross-config determinism checks use this:
+    with an every-write-eventually-commits workload of idempotent
+    distinct-key writes, the *final replicated state* is independent of
+    the schedule (loss, view changes, batching), so two configs can be
+    compared by state digest even when they abort different interim
+    attempts.  ``stats.committed`` counts jobs (each at most once);
+    aborted/unknown count the attempts that did not commit, and each job
+    records one latency and one result, covering all its attempts.
+
+    Returns the stats object, which fills in as the simulation runs (call
+    ``runtime.run_for(...)`` after).
     """
     if stats is None:
         stats = ClosedLoopStats()
     stats.started_at = runtime.sim.now
     job_iter = iter(list(jobs))
     sim = runtime.sim
+    sharded = runtime.sharded.get(target) if isinstance(target, str) else target
 
     def worker():
         from repro.sim.process import sleep
 
         for program, args in job_iter:
-            submitted_at = sim.now
-            outcome, _result = yield driver.call(groupid, program, *args)
-            stats.latencies.append(sim.now - submitted_at)
-            if outcome == "committed":
-                stats.committed += 1
-            elif outcome == "aborted":
-                stats.aborted += 1
+            if sharded is None:
+                shards: Tuple[str, ...] = (target,)
             else:
-                stats.unknown += 1
-            stats.finished_at = sim.now
-            if think_time > 0:
-                yield sleep(think_time)
-
-    for index in range(concurrency):
-        spawn(sim, worker(), name=f"loadgen-{index}")
-    return stats
-
-
-def run_retry_loop(
-    runtime,
-    driver,
-    groupid: str,
-    jobs: Iterable[Tuple[str, tuple]],
-    concurrency: int = 1,
-    max_attempts: int = 25,
-    stats: Optional[ClosedLoopStats] = None,
-) -> ClosedLoopStats:
-    """Closed loop that retries every job until it commits.
-
-    Used by the cross-config determinism checks: with an
-    every-write-eventually-commits workload of idempotent distinct-key
-    writes, the *final replicated state* is independent of the schedule
-    (loss, view changes, batching), so two configs can be compared by
-    state digest even when they abort different interim attempts.
-    ``stats.committed`` counts jobs (each exactly once); aborted/unknown
-    count the extra attempts that were retried.
-    """
-    if stats is None:
-        stats = ClosedLoopStats()
-    stats.started_at = runtime.sim.now
-    job_iter = iter(list(jobs))
-    sim = runtime.sim
-
-    def worker():
-        for program, args in job_iter:
+                shards = sharded.touched_shards(program, tuple(args))
             submitted_at = sim.now
             for _attempt in range(max_attempts):
-                outcome, _result = yield driver.call(groupid, program, *args)
+                outcome, _result = yield driver.call(target, program, *args)
                 if outcome == "committed":
                     stats.committed += 1
                     break
@@ -478,8 +404,11 @@ def run_retry_loop(
                 else:
                     stats.unknown += 1
             stats.latencies.append(sim.now - submitted_at)
+            stats.results.append((program, shards, outcome))
             stats.finished_at = sim.now
+            if think_time > 0:
+                yield sleep(think_time)
 
     for index in range(concurrency):
-        spawn(sim, worker(), name=f"retry-loadgen-{index}")
+        spawn(sim, worker(), name=f"loadgen-{index}")
     return stats

@@ -19,6 +19,8 @@ from repro.config import ProtocolConfig
 
 
 class _FakeCohort:
+    witness_mids = frozenset()
+
     def __init__(self, config_size=3, extended=False):
         self.config_size = config_size
         self.config = ProtocolConfig(extended_formation_rule=extended)

@@ -9,7 +9,7 @@ import pytest
 from repro.config import ProtocolConfig
 from repro.gates import ROWS, STATE, Condition, Row, main, summarize
 from repro.harness.common import build_kv_system
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 
 @pytest.mark.parametrize("name", sorted(name for name, row in ROWS.items() if row.conditions))
@@ -34,7 +34,7 @@ def _offset_writes(seed, config, txns):
     rt, _kv, _clients, driver, spec = build_kv_system(seed=seed, n_keys=txns)
     offset = 0 if config is None else 100
     jobs = [("write", ("kv", spec.key(i), i + offset)) for i in range(txns)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=2)
+    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2, max_attempts=25)
     rt.run_for(5_000.0)
     return summarize(rt, stats.committed)
 

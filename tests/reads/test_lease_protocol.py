@@ -6,7 +6,7 @@ throughout."""
 
 from repro.config import ProtocolConfig, ReadConfig, TraceConfig
 from repro.harness.common import build_kv_system
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 
 def reads_config(**kwargs):
@@ -26,8 +26,8 @@ def run_read(rt, driver, groupid, uid, max_time=3_000.0, **kwargs):
 
 
 def commit_write(rt, driver, key, value):
-    stats = run_retry_loop(
-        rt, driver, "clients", [("write", ("kv", key, value))]
+    stats = run_closed_loop(
+        rt, driver, "clients", [("write", ("kv", key, value))], max_attempts=25
     )
     deadline = rt.sim.now + 30_000.0
     while stats.committed < 1 and rt.sim.now < deadline:
@@ -109,7 +109,7 @@ def test_partitioned_old_primary_stops_serving_before_new_commit():
 
     # ...by which time the old lease must have lapsed: grants cannot
     # have been renewed across the partition
-    assert not old.reads.lease_valid(old_view)
+    assert not old.read_plane.lease_valid(old_view)
     after = run_read(
         rt, stale_driver, "kv", spec.key(0), retries=1, max_time=2_000.0
     )

@@ -109,18 +109,19 @@ def test_all_off_scale_config_reports_nothing_enabled():
 
 
 def test_cohort_normalizes_all_off_scale_to_none():
-    """The `scale is None` fast path must cover an all-off ScaleConfig,
-    or the byte-identical-schedule claim would hinge on every hot-path
-    branch checking each mechanism individually."""
+    """An all-off ScaleConfig must attach no scale plane, or the
+    byte-identical-schedule claim would hinge on every hook checking each
+    mechanism individually."""
     from repro import EmptyModule, Runtime
+    from repro.scale.plane import ScalePlane
 
     rt = Runtime(seed=1, config=ProtocolConfig(scale=ScaleConfig()))
     group = rt.create_group("g", EmptyModule(), n_cohorts=3)
     for cohort in group.cohorts.values():
-        assert cohort.scale is None
+        assert cohort.planes == ()
     rt_armed = Runtime(
         seed=1, config=ProtocolConfig(scale=ScaleConfig(gossip=True))
     )
     armed = rt_armed.create_group("g", EmptyModule(), n_cohorts=3)
     for cohort in armed.cohorts.values():
-        assert cohort.scale is not None
+        assert any(isinstance(plane, ScalePlane) for plane in cohort.planes)
