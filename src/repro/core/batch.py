@@ -7,11 +7,10 @@ Batched transmission itself lives in the communication buffer
 - **ack coalescing** -- acks are cumulative, so a backup answers every
   buffer message applied during one ``flush_interval`` tick with a single
   ack instead of one each;
-- **liveness piggybacking** (``piggyback_liveness``) -- buffer messages
-  and acks carry ``sent_at``, so receivers feed their failure detector
-  (and RTT estimator) from them, and the periodic I'm-alive beacon to a
-  peer that such traffic reached within half an interval is skipped as
-  redundant.
+- **liveness piggybacking** -- buffer messages and acks carry ``sent_at``,
+  so receivers feed their failure detector (and RTT estimator) from them,
+  and the periodic I'm-alive beacon to a peer that such traffic reached
+  within half an interval is skipped as redundant.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class BatchPlane(Plane):
     def __init__(self, cohort, batch: BatchConfig):
         self.cohort = cohort
         self.flush_interval = batch.flush_interval
-        self.piggyback = batch.piggyback_liveness
         #: peer mid -> last time buffer traffic carrying sent_at went to it
         self.liveness_sent: Dict[int, float] = {}
         #: applied-but-unacked buffer messages, and whether the coalescing
@@ -40,18 +38,17 @@ class BatchPlane(Plane):
         self.ack_timer_armed = False
 
     def on_receive(self, msg) -> bool:
-        if self.piggyback:
-            cohort = self.cohort
-            if type(msg) is BufferMsg:
-                # Buffer traffic from the primary is proof of life.
-                cohort.detect.heard(cohort.cur_view.primary, sent_at=msg.sent_at)
-            elif type(msg) is BufferAckMsg:
-                # Acks prove the sender is alive, so it may skip its beacon.
-                cohort.detect.heard(msg.mid, sent_at=msg.sent_at)
+        cohort = self.cohort
+        if type(msg) is BufferMsg:
+            # Buffer traffic from the primary is proof of life.
+            cohort.detect.heard(cohort.cur_view.primary, sent_at=msg.sent_at)
+        elif type(msg) is BufferAckMsg:
+            # Acks prove the sender is alive, so it may skip its beacon.
+            cohort.detect.heard(msg.mid, sent_at=msg.sent_at)
         return False
 
     def on_send(self, dest: int, msg) -> int:
-        if self.piggyback and type(msg) is not ImAliveMsg:
+        if type(msg) is not ImAliveMsg:
             now = self.cohort.sim.now
             self.liveness_sent[dest] = now
             if type(msg) is BufferAckMsg:
@@ -59,8 +56,6 @@ class BatchPlane(Plane):
         return dest
 
     def beacon_targets(self, targets: List[Tuple[int, str]]) -> List[Tuple[int, str]]:
-        if not self.piggyback:
-            return targets
         # Skip peers that buffer traffic carrying sent_at reached recently.
         now = self.cohort.sim.now
         half = 0.5 * self.cohort.config.im_alive_interval

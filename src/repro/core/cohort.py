@@ -28,7 +28,7 @@ cohort runs the paper's protocol and nothing else.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core import messages as m
@@ -193,8 +193,6 @@ class Cohort(Actor):
         # -- planes (beyond the paper; see repro.core.plane) --
         #: Bufferless voting members; only a plane can configure any.
         self.witness_mids: frozenset = frozenset()
-        #: The plane that serves ReadMsg, if one is attached.
-        self.read_plane: Any = None
         self.planes: Tuple[Plane, ...] = tuple(planes(self)) if planes else ()
         for plane in self.planes:
             self._handlers.update(plane.handlers())
@@ -545,12 +543,9 @@ class Cohort(Actor):
     # ------------------------------------------------------------------
 
     def _handle_read(self, msg: m.ReadMsg) -> None:
-        """Every ReadMsg lands here: the paper serves reads only as
-        transactions, so without a plane to serve them they are refused."""
-        if self.read_plane is None:
-            self.reject_read(msg, "reads_disabled")
-        else:
-            self.read_plane.serve(msg)
+        """The paper serves reads only as transactions, so a ReadMsg is
+        refused unless a reads plane registered its own handler."""
+        self.reject_read(msg, "reads_disabled")
 
     def reject_read(self, msg: m.ReadMsg, reason: str, **extra) -> None:
         """Refuse a read, with current view info if we know it."""

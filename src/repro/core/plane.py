@@ -45,6 +45,15 @@ class Plane:
         """True when the plane will send the buffer ack itself, later."""
         return False
 
+    def on_accept(self, msg) -> None:
+        """This cohort's own acceptance of an invitation (Figure 5
+        ``do_accept``) was built and is about to count or be sent: stamp it."""
+
+    def activation_bound(self, responses, primary: int) -> float:
+        """The instant before which the new *primary* of a view formed from
+        the acceptances *responses* must not activate (0.0: at once)."""
+        return 0.0
+
     def on_heartbeat(self) -> None:
         """Once per heartbeat tick, after the beacons went out."""
 

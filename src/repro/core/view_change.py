@@ -22,13 +22,22 @@ The cohort returning the largest viewstamp in a normal acceptance becomes
 the new primary; the old primary of that view is preferred when possible
 ("since this causes minimal disruption").  All acceptors -- including
 crashed ones, which the newview record will re-initialize -- join the view.
+
+Two variations of the rule live in ``form_view``, both off for the paper's
+configuration: condition 4 (``extended_formation_rule``, DESIGN.md D11),
+and, with witnesses configured, condition 1 relaxed to storage coverage
+(docs/SCALE.md).  Every other extension attaches through the plane hooks
+(:mod:`repro.core.plane`): planes stamp this cohort's acceptance
+(``on_accept``) and may defer the new primary's activation
+(``activation_bound``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core import messages as m
+from repro.core.cohort import Status
 from repro.core.events import NewView
 from repro.core.view import View, majority
 from repro.core.viewstamp import ViewId, Viewstamp
@@ -45,7 +54,7 @@ class ViewChangeController:
         self._await_timer = None
         self._retry_timer = None
         self._retransmit_timer = None
-        self._installing = False
+        self.installing = False
         self._manage_rounds = 0
         self._formed = False
         # Created lazily: form_view() is also exercised standalone with
@@ -81,7 +90,7 @@ class ViewChangeController:
         self._await_timer = None
         self._retry_timer = None
         self._retransmit_timer = None
-        self._installing = False
+        self.installing = False
         self._manage_rounds = 0
         self._formed = False
         if self._retry_backoff is not None:
@@ -92,8 +101,6 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def become_manager(self) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if not cohort.node.up:
             return
@@ -112,8 +119,6 @@ class ViewChangeController:
 
     def _make_invitations(self) -> None:
         """Figure 5: mint a new viewid, invite everyone, await responses."""
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is not Status.VIEW_MANAGER:
             return  # a stale retry timer fired after we stopped managing
@@ -148,8 +153,6 @@ class ViewChangeController:
         self._retransmit_timer = cohort.set_timer(period, self._retransmit_invites)
 
     def _retransmit_invites(self) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         self._retransmit_timer = None
         if cohort.status is not Status.VIEW_MANAGER or self._formed:
@@ -170,33 +173,11 @@ class ViewChangeController:
         self._arm_invite_retransmit()
 
     def _own_acceptance(self) -> m.AcceptMsg:
+        """Figure 5 ``do_accept``'s reply: normal (current viewstamp) or
+        crashed (stable viewid only); each plane then stamps it."""
         cohort = self.cohort
-        lease_promises = ()
-        if cohort.read_plane is not None:
-            # Report outstanding read-lease promises so the formation can
-            # defer the new primary past any lease an old one could still
-            # be serving under (docs/READS.md).
-            lease_promises = cohort.read_plane.outstanding_promises()
-        if cohort.is_witness:
-            # Witnesses vote -- the acceptance counts toward the majority
-            # and they join the formed view -- but carry no viewstamp
-            # evidence: they hold no event buffer, so the formation
-            # conditions must be met by storage members alone
-            # (repro.scale, docs/SCALE.md).
-            cohort.emit("witness_vote", viewid=str(cohort.max_viewid))
-            return m.AcceptMsg(
-                viewid=cohort.max_viewid,
-                mid=cohort.mymid,
-                crashed=False,
-                viewstamp=None,
-                was_primary=False,
-                crash_viewid=None,
-                view=cohort.cur_view,
-                lease_promises=lease_promises,
-                witness=True,
-            )
         if cohort.up_to_date:
-            return m.AcceptMsg(
+            acceptance = m.AcceptMsg(
                 viewid=cohort.max_viewid,
                 mid=cohort.mymid,
                 crashed=False,
@@ -205,25 +186,25 @@ class ViewChangeController:
                 and cohort.cur_view.primary == cohort.mymid,
                 crash_viewid=None,
                 view=cohort.cur_view,
-                lease_promises=lease_promises,
             )
-        return m.AcceptMsg(
-            viewid=cohort.max_viewid,
-            mid=cohort.mymid,
-            crashed=True,
-            viewstamp=None,
-            was_primary=False,
-            crash_viewid=cohort.cur_viewid,
-            lease_promises=lease_promises,
-        )
+        else:
+            acceptance = m.AcceptMsg(
+                viewid=cohort.max_viewid,
+                mid=cohort.mymid,
+                crashed=True,
+                viewstamp=None,
+                was_primary=False,
+                crash_viewid=cohort.cur_viewid,
+            )
+        for plane in cohort.planes:
+            plane.on_accept(acceptance)
+        return acceptance
 
     # ------------------------------------------------------------------
     # accepting invitations (do_accept)
     # ------------------------------------------------------------------
 
     def on_invite(self, msg: m.InviteMsg) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if msg.viewid < cohort.max_viewid:
             return  # "ignore the msg"
@@ -233,14 +214,12 @@ class ViewChangeController:
         self._do_accept(msg.viewid, msg.manager_mid)
 
     def _do_accept(self, viewid: ViewId, manager_mid: int) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is Status.ACTIVE:
             cohort.leave_active()
         cohort.max_viewid = viewid
         self._cancel_timers()
-        self._installing = False
+        self.installing = False
         cohort.status = Status.UNDERLING
         cohort.emit("invite_accepted", viewid=str(viewid), manager=manager_mid)
         cohort.send_mid(manager_mid, self._own_acceptance())
@@ -257,8 +236,6 @@ class ViewChangeController:
         self._await_timer = cohort.set_timer(delay, self._await_timeout)
 
     def _await_timeout(self) -> None:
-        from repro.core.cohort import Status
-
         if self.cohort.status is Status.UNDERLING:
             self.become_manager()
 
@@ -267,8 +244,6 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def on_accept(self, msg: m.AcceptMsg) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is not Status.VIEW_MANAGER:
             return
@@ -290,8 +265,6 @@ class ViewChangeController:
             self._attempt_formation()
 
     def _attempt_formation(self) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is not Status.VIEW_MANAGER or self._formed:
             return
@@ -327,18 +300,18 @@ class ViewChangeController:
         )
         if self._retry_backoff is not None and self._retry_backoff.reset():
             cohort.metrics.incr(f"backoff_resets:{cohort.mygroupid}")
-        lease_bound = 0.0
-        if cohort.read_plane is not None:
-            lease_bound = cohort.read_plane.lease_bound(
-                self._responses.values(), view.primary
-            )
+        responses = self._responses.values()
+        activate_at = max(
+            (plane.activation_bound(responses, view.primary) for plane in cohort.planes),
+            default=0.0,
+        )
         if view.primary == cohort.mymid:
-            self._start_view(view, lease_bound)
+            self._start_view(view, activate_at)
         else:
             cohort.send_mid(
                 view.primary,
                 m.InitViewMsg(
-                    viewid=cohort.max_viewid, view=view, lease_bound=lease_bound
+                    viewid=cohort.max_viewid, view=view, lease_bound=activate_at
                 ),
             )
             cohort.status = Status.UNDERLING
@@ -347,8 +320,9 @@ class ViewChangeController:
     def form_view(self, responses: Dict[int, m.AcceptMsg]) -> Optional[View]:
         """Apply the section-4 formation rule; None when it cannot be met."""
         cohort = self.cohort
+        n = cohort.config_size
         accepted = list(responses.values())
-        if len(accepted) < majority(cohort.config_size):
+        if len(accepted) < majority(n):
             return None
         # Witness acceptances (repro.scale) count toward the majority and
         # join the formed view, but carry no viewstamp/crash evidence --
@@ -358,46 +332,31 @@ class ViewChangeController:
         if not normals:
             return None
         normal_vs: Viewstamp = max(a.viewstamp for a in normals)
-        normal_viewid = normal_vs.id
+        # Condition 1.  With witnesses, force quorums are all-storage
+        # (``majority(n)`` buffer-holding members counting the primary), so
+        # a majority relaxes to *coverage*: enough storage members accepted
+        # normally that they intersect every possible force quorum of every
+        # view, hence no forced event can be missing from their joint state.
         if cohort.witness_mids:
-            # With witnesses configured, force quorums are all-storage
-            # (``majority(n)`` buffer-holding members counting the
-            # primary), so the paper's condition 1 relaxes to *coverage*:
-            # enough storage members accepted normally that they intersect
-            # every possible force quorum of every view, hence no forced
-            # event can be missing from their joint state.
-            storage = cohort.config_size - len(cohort.witness_mids)
-            covered = len(normals) >= storage - majority(cohort.config_size) + 1
+            need = n - len(cohort.witness_mids) - majority(n) + 1
+        else:
+            need = majority(n)
+        if len(normals) < need:
             if not crashed:
-                if not covered:
-                    return None
-            else:
-                crash_viewid = max(a.crash_viewid for a in crashed)
-                cond2 = crash_viewid < normal_viewid
-                cond3 = crash_viewid == normal_viewid and any(
-                    a.was_primary and a.viewstamp.id == normal_viewid
-                    for a in normals
-                )
-                cond4 = (
-                    crash_viewid == normal_viewid
-                    and getattr(cohort.config, "extended_formation_rule", False)
-                    and self._backups_cover_forces(normals, normal_viewid)
-                )
-                if not (covered or cond2 or cond3 or cond4):
-                    return None
-        elif crashed:
+                return None
+            normal_viewid = normal_vs.id
             crash_viewid = max(a.crash_viewid for a in crashed)
-            cond1 = len(normals) >= majority(cohort.config_size)
+            same_view = crash_viewid == normal_viewid
             cond2 = crash_viewid < normal_viewid
-            cond3 = crash_viewid == normal_viewid and any(
+            cond3 = same_view and any(
                 a.was_primary and a.viewstamp.id == normal_viewid for a in normals
             )
             cond4 = (
-                crash_viewid == normal_viewid
-                and getattr(cohort.config, "extended_formation_rule", False)
+                same_view
+                and cohort.config.extended_formation_rule
                 and self._backups_cover_forces(normals, normal_viewid)
             )
-            if not (cond1 or cond2 or cond3 or cond4):
+            if not (cond2 or cond3 or cond4):
                 return None
         primary = self._choose_primary(normals, normal_vs)
         backups = tuple(
@@ -446,8 +405,6 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def on_init_view(self, msg: m.InitViewMsg) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if msg.viewid != cohort.max_viewid:
             return
@@ -455,15 +412,17 @@ class ViewChangeController:
             return  # duplicate init for a view we already started
         self._start_view(msg.view, msg.lease_bound)
 
-    def _start_view(self, view: View, lease_bound: float = 0.0) -> None:
+    def _start_view(self, view: View, activate_at: float) -> None:
         """Figure 5 ``start_view``: open the history entry, persist the
         viewid, then activate (``activate_as_primary`` builds the newview
         record and opens the buffer).
 
-        With reads enabled, activation is additionally deferred until
-        ``lease_bound`` has passed: an old primary may serve leased reads
-        until then, and this primary committing a write any earlier would
-        let a read miss it (docs/READS.md)."""
+        Activation is deferred until ``activate_at``, the latest of the
+        planes' activation bounds (:meth:`repro.core.plane.Plane.activation_bound`;
+        0.0 for the paper's cohort).  The reads plane's bound is the
+        expiry of the leases an old primary may still serve under: this
+        primary committing a write any earlier would let a read miss it
+        (docs/READS.md)."""
         cohort = self.cohort
         self._cancel_timers()
         viewid = cohort.max_viewid
@@ -487,12 +446,12 @@ class ViewChangeController:
                 self._on_viewid_write_failed(viewid, future.exception())
                 return
             now = cohort.sim.now
-            if lease_bound > now:
-                # Grants are valid strictly before their expiry, so waiting
-                # until exactly the bound suffices.
-                cohort.emit("lease_wait", viewid=str(viewid), until=lease_bound)
+            if activate_at > now:
+                # A bound is an expiry (valid strictly before it), so
+                # waiting until exactly the bound suffices.
+                cohort.emit("lease_wait", viewid=str(viewid), until=activate_at)
                 cohort.metrics.incr(f"lease_waits:{cohort.mygroupid}")
-                cohort.set_timer(lease_bound - now, activate)
+                cohort.set_timer(activate_at - now, activate)
                 return
             activate()
 
@@ -506,8 +465,6 @@ class ViewChangeController:
         underling keeps waiting so its await timer can promote it.  Either
         way the failure is counted and traced.
         """
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         cohort.metrics.incr(f"stable_write_failures:{cohort.mygroupid}")
         cohort.emit(
@@ -536,73 +493,29 @@ class ViewChangeController:
 
     def on_buffer_while_underling(self, msg: m.BufferMsg) -> None:
         cohort = self.cohort
-        if msg.viewid != cohort.max_viewid or self._installing:
+        if msg.viewid != cohort.max_viewid or self.installing:
             return
         if not msg.records or msg.records[0][0] != 1:
             return  # need the start of the view; primary resends from ts 1
         first_ts, first_record = msg.records[0]
         if not isinstance(first_record, NewView):
             return
-        self._installing = True
         viewid = msg.viewid
-        write = cohort.stable.write("cur_viewid", viewid)
+        self.join_durably(viewid, lambda: cohort.install_newview(viewid, first_record))
 
-        def on_durable(future) -> None:
-            self._installing = False
-            if cohort.max_viewid != viewid or not cohort.node.up:
-                return
-            from repro.core.cohort import Status
+    def join_durably(self, viewid: ViewId, join: Callable[[], None]) -> None:
+        """Durably write ``cur_viewid``, then *join* the view -- provided
+        this cohort is still an underling awaiting *viewid* by then.
 
-            if cohort.status is not Status.UNDERLING:
-                return
-            if future.exception() is not None:
-                # Joining the view without a durable cur_viewid would make
-                # a later recovery report a stale crash_viewid; stay an
-                # underling (the await timer still promotes us).
-                self._on_viewid_write_failed(viewid, future.exception())
-                return
-            self._cancel_timers()
-            cohort.install_newview(viewid, first_record)
-
-        write.add_done_callback(on_durable)
-
-    # ------------------------------------------------------------------
-    # witness: view announcements outside the buffer (repro.scale)
-    # ------------------------------------------------------------------
-
-    def on_witness_install(self, msg: m.WitnessInstallMsg) -> None:
-        """A new primary announced its formed view to this witness.
-
-        Witnesses receive no buffer traffic, so the newview record never
-        reaches them; the activating primary sends an explicit
-        ``WitnessInstallMsg`` instead and retransmits it from its heartbeat
-        loop until the witness confirms.  The confirmation reuses
-        ``BufferAckMsg(acked_ts=0)`` -- harmless to the buffer (a witness
-        mid is not in its acked map) and idempotent under loss.
-        """
-        from repro.core.cohort import Status
-
+        Joining without a durable cur_viewid would make a later recovery
+        report a stale crash_viewid, so a failed write keeps the cohort an
+        underling (the await timer still promotes it).  ``installing`` is
+        set while the write is outstanding."""
         cohort = self.cohort
-        if not cohort.is_witness:
-            return
-        if cohort.status is Status.ACTIVE and cohort.cur_viewid == msg.viewid:
-            # Duplicate announcement: our ack was lost; just re-confirm.
-            self._ack_witness_install(msg)
-            return
-        if msg.viewid < cohort.max_viewid or self._installing:
-            return
-        if cohort.status is Status.ACTIVE:
-            # The announcement outran an invitation (or we missed the
-            # round entirely); a formed view always supersedes.
-            cohort.leave_active()
-        cohort.max_viewid = msg.viewid
-        cohort.status = Status.UNDERLING
-        self._installing = True
-        viewid = msg.viewid
-        view = msg.view
+        self.installing = True
 
         def on_durable(future) -> None:
-            self._installing = False
+            self.installing = False
             if cohort.max_viewid != viewid or not cohort.node.up:
                 return
             if cohort.status is not Status.UNDERLING:
@@ -611,22 +524,9 @@ class ViewChangeController:
                 self._on_viewid_write_failed(viewid, future.exception())
                 return
             self._cancel_timers()
-            # No state to install -- a witness holds no event buffer and
-            # applies no records -- so joining is just the view flip.
-            cohort.join_view(viewid, view)
-            cohort.emit("newview_installed", viewid=str(viewid), witness=True)
-            cohort.metrics.incr(f"views_joined:{cohort.mygroupid}")
-            self._ack_witness_install(msg)
+            join()
 
-        write = cohort.stable.write("cur_viewid", viewid)
-        write.add_done_callback(on_durable)
-
-    def _ack_witness_install(self, msg: m.WitnessInstallMsg) -> None:
-        cohort = self.cohort
-        cohort.send_mid(
-            msg.view.primary,
-            m.BufferAckMsg(viewid=msg.viewid, acked_ts=0, mid=cohort.mymid),
-        )
+        cohort.stable.write("cur_viewid", viewid).add_done_callback(on_durable)
 
     # ------------------------------------------------------------------
 

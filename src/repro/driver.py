@@ -146,7 +146,6 @@ class Driver(Actor):
         self._geo_routing = (
             geo_cfg is not None
             and geo_cfg.topology is not None
-            and geo_cfg.geo_routing
             and self.site is not None
         )
         reads_cfg = self.config.reads

@@ -27,9 +27,10 @@ same events as a reads-disabled one.
 Attached to a cohort (:meth:`ReadState.attach`), the state is also the
 cohort's *reads plane* (:mod:`repro.core.plane`): grants ride the acks and
 I'm-alive beacons a backup sends its primary, the primary's beacons carry
-its buffer timestamp for freshness, :meth:`ReadState.serve` answers the
-``ReadMsg`` traffic ``Cohort._handle_read`` hands it, and the view change
-asks it for outstanding promises and the formation bound.
+its buffer timestamp for freshness, :meth:`ReadState.serve` answers
+``ReadMsg`` in place of the core's ``reads_disabled`` refusal, every
+view-change acceptance carries its outstanding promises, and the
+formation's activation bound is :func:`formation_lease_bound`.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class ReadState(Plane):
         #: trace transitions)
         self.was_valid = False
         self.cohort = cohort
-        if cohort is not None:
-            cohort.read_plane = self
 
     @classmethod
     def attach(cls, cohort) -> "ReadState":
@@ -90,12 +89,12 @@ class ReadState(Plane):
             self.promises[grantee] = expiry
         return expiry
 
-    def promise_residue(self, conservative: bool = False) -> None:
+    def promise_residue(self) -> None:
         """Replace all promises with a full-duration unknown-grantee bound.
 
-        Used after recovery (``conservative=True`` semantics are implied):
-        volatile promise state is gone, and a promise made any time before
-        the crash expires no later than ``now + lease_duration``.
+        Used after recovery: volatile promise state is gone, and a promise
+        made any time before the crash expires no later than
+        ``now + lease_duration``.
         """
         self.promises = {CRASH_GRANTEE: self.clock() + self.cfg.lease_duration}
 
@@ -163,9 +162,16 @@ class ReadState(Plane):
 
     # -- the cohort's reads plane ------------------------------------------
 
-    def lease_bound(self, responses: Iterable, chosen_primary: int) -> float:
-        """The activation deferral for a view formed from *responses*."""
-        return formation_lease_bound(responses, chosen_primary)
+    def handlers(self):
+        return {ReadMsg: (self.serve, False)}
+
+    def on_accept(self, msg) -> None:
+        # Report outstanding promises so the formation can defer the new
+        # primary past any lease an old one could still be serving under.
+        msg.lease_promises = self.outstanding_promises()
+
+    def activation_bound(self, responses: Iterable, primary: int) -> float:
+        return formation_lease_bound(responses, primary)
 
     def on_send(self, dest: int, msg) -> int:
         cohort = self.cohort
@@ -280,9 +286,6 @@ class ReadState(Plane):
             cohort.emit("lease_read", viewid=str(viewid), uid=msg.uid)
             cohort.metrics.incr(f"lease_reads:{cohort.mygroupid}")
             self._reply(msg, obj, Viewstamp(viewid, ts), "lease", 0.0)
-            return
-        if not self.cfg.backup_reads:
-            cohort.reject_read(msg, "not_active")  # carries view info: redirect
             return
         staleness = self.staleness()
         bound = msg.max_staleness

@@ -239,9 +239,8 @@ class Runtime:
         """Create a workload driver, optionally homed at a topology *site*.
 
         A sited driver pays structural (geo) delay to every placed node
-        and routes reads to the nearest serving replica when
-        ``GeoConfig.geo_routing`` is on.
-        """
+        and routes reads to the nearest serving replica when a
+        topology is armed (``GeoConfig.topology``)."""
         if node is None:
             node = self.create_node(f"{name}-node", site=site)
         elif site is not None:
@@ -353,6 +352,7 @@ def build_planes(
     imported only when its plane is armed.
     """
     makers: List[Callable[["Cohort"], "Plane"]] = []
+    reads = config.reads is not None and config.reads.enabled
     scale = config.scale
     if scale is not None and scale.any_enabled():
         from repro.scale import validate_witnesses, witness_mids
@@ -361,12 +361,12 @@ def build_planes(
         if scale.witnesses > 0:
             validate_witnesses(size, scale.witnesses)
         witnesses = witness_mids(size, scale.witnesses)  # once per group
-        makers.append(lambda cohort: ScalePlane(cohort, scale, witnesses))
+        makers.append(lambda cohort: ScalePlane(cohort, scale, witnesses, reads))
     if config.batch.enabled:
         from repro.core.batch import BatchPlane
 
         makers.append(lambda cohort: BatchPlane(cohort, config.batch))
-    if config.reads is not None and config.reads.enabled:
+    if reads:
         from repro.reads.lease import ReadState
 
         makers.append(ReadState.attach)

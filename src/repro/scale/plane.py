@@ -3,9 +3,10 @@
 One :class:`ScalePlane` per cohort of a group whose
 :class:`~repro.config.ScaleConfig` arms any mechanism (the package
 docstring describes the three).  The plane owns the gossip RNG and
-fan-out, the ack tree's children and forwarding, and the primary's
-retransmission of witness view installs; the witness set itself is
-computed once per group and published as ``Cohort.witness_mids``.
+fan-out, the ack tree's children and forwarding, a witness's view-change
+vote and view install, and the primary's retransmission of those
+installs; the witness set itself is computed once per group and
+published as ``Cohort.witness_mids``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.config import ScaleConfig
 from repro.core.cohort import Status
-from repro.core.messages import BufferAckMsg, ImAliveMsg, WitnessInstallMsg
+from repro.core.messages import AcceptMsg, BufferAckMsg, ImAliveMsg, WitnessInstallMsg
 from repro.core.plane import Plane
 from repro.core.viewstamp import ViewId
 from repro.scale import AckTree
@@ -23,9 +24,12 @@ from repro.scale import AckTree
 class ScalePlane(Plane):
     """Large-cohort mechanisms for one cohort."""
 
-    def __init__(self, cohort, cfg: ScaleConfig, witnesses: FrozenSet[int]):
+    def __init__(self, cohort, cfg: ScaleConfig, witnesses: FrozenSet[int], reads: bool):
         self.cohort = cohort
         self.cfg = cfg
+        #: whether a reads plane is attached too (its lease grants ride
+        #: the beacons to the primary)
+        self.reads = reads
         cohort.witness_mids = witnesses
         self.gossip_rng = (
             cohort.runtime.sim.rng.fork(f"gossip/{cohort.address}")
@@ -44,7 +48,7 @@ class ScalePlane(Plane):
         self.install_pending: Set[int] = set()
 
     def handlers(self):
-        return {WitnessInstallMsg: (self.cohort.view_change.on_witness_install, False)}
+        return {WitnessInstallMsg: (self.on_witness_install, False)}
 
     # -- gossip heartbeats ---------------------------------------------------
 
@@ -57,7 +61,7 @@ class ScalePlane(Plane):
         if self.cfg.gossip_fanout < len(targets):
             chosen = self.gossip_rng.sample(targets, self.cfg.gossip_fanout)
             if (
-                cohort.read_plane is not None
+                self.reads
                 and cohort.status is Status.ACTIVE
                 and cohort.cur_view is not None
                 and not cohort.is_primary
@@ -196,7 +200,65 @@ class ScalePlane(Plane):
 
         cohort.set_timer(self.cfg.ack_delay, forward)
 
-    # -- witness view installs ---------------------------------------------------
+    # -- witnesses: votes and view installs ------------------------------------
+
+    def on_accept(self, msg: AcceptMsg) -> None:
+        """A witness votes -- its acceptance counts toward the majority and
+        it joins the formed view -- but carries no viewstamp evidence: it
+        holds no event buffer, so the formation conditions must be met by
+        storage members alone (docs/SCALE.md)."""
+        cohort = self.cohort
+        if not cohort.is_witness:
+            return
+        cohort.emit("witness_vote", viewid=str(cohort.max_viewid))
+        msg.crashed = False
+        msg.viewstamp = None
+        msg.was_primary = False
+        msg.crash_viewid = None
+        msg.view = cohort.cur_view
+        msg.witness = True
+
+    def on_witness_install(self, msg: WitnessInstallMsg) -> None:
+        """A new primary announced its formed view to this witness.
+
+        Witnesses receive no buffer traffic, so the newview record never
+        reaches them; the activating primary sends an explicit
+        ``WitnessInstallMsg`` instead and retransmits it from its heartbeat
+        loop until the witness confirms.  The confirmation reuses
+        ``BufferAckMsg(acked_ts=0)`` -- harmless to the buffer (a witness
+        mid is not in its acked map) and idempotent under loss.
+        """
+        cohort = self.cohort
+        if not cohort.is_witness:
+            return
+        if cohort.status is Status.ACTIVE and cohort.cur_viewid == msg.viewid:
+            # Duplicate announcement: our ack was lost; just re-confirm.
+            self._ack_witness_install(msg)
+            return
+        if msg.viewid < cohort.max_viewid or cohort.view_change.installing:
+            return
+        if cohort.status is Status.ACTIVE:
+            # The announcement outran an invitation (or we missed the
+            # round entirely); a formed view always supersedes.
+            cohort.leave_active()
+        cohort.max_viewid = msg.viewid
+        cohort.status = Status.UNDERLING
+
+        def join() -> None:
+            # No state to install -- a witness holds no event buffer and
+            # applies no records -- so joining is just the view flip.
+            cohort.join_view(msg.viewid, msg.view)
+            cohort.emit("newview_installed", viewid=str(msg.viewid), witness=True)
+            cohort.metrics.incr(f"views_joined:{cohort.mygroupid}")
+            self._ack_witness_install(msg)
+
+        cohort.view_change.join_durably(msg.viewid, join)
+
+    def _ack_witness_install(self, msg: WitnessInstallMsg) -> None:
+        self.cohort.send_mid(
+            msg.view.primary,
+            BufferAckMsg(viewid=msg.viewid, acked_ts=0, mid=self.cohort.mymid),
+        )
 
     def on_view_installed(self) -> None:
         """A new primary announces the formed view to its witnesses, which

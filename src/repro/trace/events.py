@@ -70,15 +70,15 @@ EVENT_KINDS: Dict[str, str] = {
     "shard_route": "a sharded facade routed a request to its owning groups",
     "shard_prepare": "a cross-group prepare went out to one participant",
     "shard_commit": "a cross-group commit point covering many participants",
-    # read serving path (repro.reads.lease, core/view_change.py)
+    # read serving path (repro.reads.lease; lease_wait: core/view_change.py)
     "lease_grant": "a primary's read lease became valid (quorum of grants)",
     "lease_expire": "a primary's read lease lapsed or was surrendered",
     "lease_read": "a leased primary served a linearizable local read",
-    "lease_wait": "a new primary deferred activation past a lease bound",
+    "lease_wait": "a new primary deferred activation past a plane's bound",
     "stale_read": "a backup served a stale-bounded read from its prefix",
     # geo routing (repro.geo, driver.py)
     "geo_route": "a sited driver routed a read to its nearest serving replica",
-    # cohort scaling (repro.scale.plane, core/view_change.py)
+    # cohort scaling (repro.scale.plane)
     "gossip_relay": "a heartbeat carried relayed liveness evidence to gossip peers",
     "ack_tree": "an interior backup forwarded its subtree's aggregated buffer acks",
     "witness_vote": "a witness accepted an invitation without viewstamp evidence",

@@ -4,18 +4,19 @@ These exercise ``ViewChangeController.form_view`` directly with synthetic
 acceptance sets, including the paper's three-cohort A/B/C example.
 """
 
+import random
+
 import pytest
 
+from repro.config import ProtocolConfig
 from repro.core.messages import AcceptMsg
 from repro.core.view import View, majority, sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
+from repro.scale import max_witnesses, witness_mids
 
 V1 = ViewId(1, 0)
 V2 = ViewId(2, 1)
 V3 = ViewId(3, 2)
-
-
-from repro.config import ProtocolConfig
 
 
 class _FakeCohort:
@@ -267,3 +268,96 @@ def test_extended_rule_end_to_end_recovery():
             assert primary.store.get("count").base == 4
         else:
             assert primary is None  # the paper's rule stalls here
+
+
+# -- one formation rule == the former two-branch rule --------------------------
+
+
+def _two_branch_rule(ctl, responses):
+    """The formation rule as it stood before the two branches merged: one
+    copy for groups with witnesses, one without.  Kept verbatim (helpers
+    aside) as the reference the merged ``form_view`` must agree with."""
+    cohort = ctl.cohort
+    accepted = list(responses.values())
+    if len(accepted) < majority(cohort.config_size):
+        return None
+    normals = [a for a in accepted if not a.crashed and not a.witness]
+    crashed_ = [a for a in accepted if a.crashed and not a.witness]
+    if not normals:
+        return None
+    normal_vs = max(a.viewstamp for a in normals)
+    normal_viewid = normal_vs.id
+    if cohort.witness_mids:
+        storage = cohort.config_size - len(cohort.witness_mids)
+        covered = len(normals) >= storage - majority(cohort.config_size) + 1
+        if not crashed_:
+            if not covered:
+                return None
+        else:
+            crash_viewid = max(a.crash_viewid for a in crashed_)
+            cond2 = crash_viewid < normal_viewid
+            cond3 = crash_viewid == normal_viewid and any(
+                a.was_primary and a.viewstamp.id == normal_viewid for a in normals
+            )
+            cond4 = (
+                crash_viewid == normal_viewid
+                and cohort.config.extended_formation_rule
+                and ctl._backups_cover_forces(normals, normal_viewid)
+            )
+            if not (covered or cond2 or cond3 or cond4):
+                return None
+    elif crashed_:
+        crash_viewid = max(a.crash_viewid for a in crashed_)
+        cond1 = len(normals) >= majority(cohort.config_size)
+        cond2 = crash_viewid < normal_viewid
+        cond3 = crash_viewid == normal_viewid and any(
+            a.was_primary and a.viewstamp.id == normal_viewid for a in normals
+        )
+        cond4 = (
+            crash_viewid == normal_viewid
+            and cohort.config.extended_formation_rule
+            and ctl._backups_cover_forces(normals, normal_viewid)
+        )
+        if not (cond1 or cond2 or cond3 or cond4):
+            return None
+    primary = ctl._choose_primary(normals, normal_vs)
+    return View(primary=primary, backups=tuple(sorted(a.mid for a in accepted if a.mid != primary)))
+
+
+def _random_acceptance(rng, mid, n, witnesses):
+    if mid in witnesses:
+        return AcceptMsg(
+            viewid=V3, mid=mid, crashed=False, viewstamp=None, was_primary=False,
+            crash_viewid=None, view=None, witness=True,
+        )
+    viewid = rng.choice((V1, V2, V3))
+    if rng.random() < 0.4:
+        return crashed(mid, viewid)
+    view = None
+    if rng.random() < 0.8:
+        members = rng.sample(range(n), rng.randint(1, n))
+        view = View(primary=members[0], backups=tuple(sorted(members[1:])))
+    return normal(mid, viewid, rng.randint(0, 3), was_primary=rng.random() < 0.3, view=view)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("config_size", range(1, 8))
+def test_merged_rule_matches_two_branch_rule(config_size, extended):
+    """Random acceptance sets for every legal witness count: the merged
+    rule forms exactly the view (or failure) the two-branch rule did."""
+    rng = random.Random(config_size * 2 + extended)
+    formed = failed = 0
+    for witness_count in range(max_witnesses(config_size) + 1):
+        ctl = controller(config_size, extended)
+        ctl.cohort.witness_mids = witness_mids(config_size, witness_count)
+        for _ in range(300):
+            responders = rng.sample(range(config_size), rng.randint(1, config_size))
+            responses = {
+                mid: _random_acceptance(rng, mid, config_size, ctl.cohort.witness_mids)
+                for mid in responders
+            }
+            expected = _two_branch_rule(ctl, responses)
+            assert ctl.form_view(responses) == expected, (witness_count, responses)
+            formed += expected is not None
+            failed += expected is None
+    assert formed and failed  # both outcomes were exercised

@@ -6,6 +6,7 @@ throughout."""
 
 from repro.config import ProtocolConfig, ReadConfig, TraceConfig
 from repro.harness.common import build_kv_system
+from repro.reads.lease import ReadState
 from repro.workloads.loadgen import run_closed_loop
 
 
@@ -109,7 +110,8 @@ def test_partitioned_old_primary_stops_serving_before_new_commit():
 
     # ...by which time the old lease must have lapsed: grants cannot
     # have been renewed across the partition
-    assert not old.read_plane.lease_valid(old_view)
+    lease = next(plane for plane in old.planes if isinstance(plane, ReadState))
+    assert not lease.lease_valid(old_view)
     after = run_read(
         rt, stale_driver, "kv", spec.key(0), retries=1, max_time=2_000.0
     )
